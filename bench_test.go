@@ -254,9 +254,10 @@ func BenchmarkModelForward(b *testing.B) {
 }
 
 // BenchmarkFitEpoch measures one test-time fitting epoch (forward + backward
-// through all three modules plus the optimizer step), with the tensor arena
-// enabled (the default) and disabled. The arena=on/arena=off allocs/op gap is
-// the headline number of the pooled training loop.
+// through all three modules plus the optimizer step), with pooling enabled
+// (the default: tape regions over the chunk pool) and disabled. The
+// arena=on/arena=off allocs/op gap is the headline number of the pooled
+// training loop.
 func BenchmarkFitEpoch(b *testing.B) {
 	model := benchModel(b)
 	_, speed := model.Forward(tensor.Full(20, model.Topo.N, 8))
@@ -319,7 +320,7 @@ func BenchmarkDijkstra(b *testing.B) {
 // BenchmarkMatMul measures the dense kernel at 256×256×256 through the
 // packed, cache-blocked GEMM core — the headline size the perf trajectory
 // tracks (BENCH_2's naive kernel vs BENCH_4's packed kernel), and the
-// benchmark CI gates on allocs/op (a regression means the arena-pooled pack
+// benchmark CI gates on allocs/op (a regression means the pooled pack
 // buffers stopped pooling).
 func BenchmarkMatMul(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))

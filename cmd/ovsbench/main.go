@@ -5,9 +5,12 @@
 //
 // Usage:
 //
-//	ovsbench -bench 'BenchmarkFitEpoch|BenchmarkBackward' -o BENCH_7.json
-//	ovsbench -benchtime 5x -o BENCH_7.json
+//	ovsbench -bench 'BenchmarkFitEpoch|BenchmarkBackward' -o BENCH_12.json
+//	ovsbench -benchtime 5x -o BENCH_12.json
 //	ovsbench -benchtime 100ms -maxallocs 'BenchmarkMatMul=16,BenchmarkModelForward=1100'
+//
+// Without -o the run prints the harness output and checks the gates but
+// writes no report, so no BENCH_k.json file is ever overwritten by default.
 //
 // The default selection covers the allocation-sensitive hot-loop benchmarks
 // plus the GEMM shape sweep, routing benchmarks, and the cold lint pass
@@ -58,7 +61,7 @@ func main() {
 	bench := flag.String("bench", defaultBench, "benchmark selection regex passed to go test -bench")
 	benchtime := flag.String("benchtime", "1x", "go test -benchtime value")
 	pkg := flag.String("pkg", ".", "package pattern holding the benchmarks")
-	outPath := flag.String("o", "BENCH_7.json", "output JSON path")
+	outPath := flag.String("o", "", "output JSON path (empty: write no report)")
 	maxAllocs := flag.String("maxallocs", "",
 		"comma-separated name=limit pairs, e.g. 'BenchmarkMatMul=16'; fail when a benchmark's allocs/op exceeds its limit (names matched exactly after stripping the -GOMAXPROCS suffix)")
 	timeout := flag.Duration("timeout", 0, "cancel the run after this duration (0 = no deadline)")
@@ -174,22 +177,26 @@ func run(ctx context.Context, bench, benchtime, pkg, outPath string, gates []all
 	if len(results) == 0 {
 		return fmt.Errorf("no benchmark results matched %q", bench)
 	}
-	report := Report{GoTestArgs: args, GoVersion: goVersion(), Results: results}
+	if outPath != "" {
+		if err := writeReport(outPath, Report{GoTestArgs: args, GoVersion: goVersion(), Results: results}); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "ovsbench: wrote %d results to %s\n", len(results), outPath)
+	}
+	// Gate after writing, so the report survives as an artifact even when the
+	// allocation check fails.
+	return checkAllocGates(results, gates)
+}
+
+func writeReport(path string, report Report) error {
 	enc, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		return err
 	}
-	err = cliutil.WriteFileAtomic(outPath, func(w io.Writer) error {
+	return cliutil.WriteFileAtomic(path, func(w io.Writer) error {
 		_, werr := w.Write(append(enc, '\n'))
 		return werr
 	})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "ovsbench: wrote %d results to %s\n", len(results), outPath)
-	// Gate after writing, so the report survives as an artifact even when the
-	// allocation check fails.
-	return checkAllocGates(results, gates)
 }
 
 func goVersion() string {

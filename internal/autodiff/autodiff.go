@@ -7,8 +7,8 @@
 // The design favors explicitness over generality: every operation has a
 // hand-written backward rule that is verified against finite differences in
 // the package tests. Ops allocate their outputs and gradient buffers through
-// the graph (Graph.Alloc), which draws from the tensor arena and reclaims
-// everything on Graph.Reset — see recycle.go.
+// the graph (Graph.Alloc), which carves them from the tape's private bump
+// region and rewinds it on Graph.Reset — see recycle.go.
 //
 // Backward rules are static functions dispatched through Node.backFn, with
 // operands stored in the node itself (a, b, c, srcs, ext, x0, i0, i1) rather
@@ -92,9 +92,9 @@ type Node struct {
 // are spliced back deterministically. add enforces the rule with a cheap
 // tripwire that panics on detected concurrent appends.
 //
-// Graphs recycle: Reset returns every owned tensor to the arena and every
-// node slab to the pool, so per-epoch loops reuse one graph instead of
-// reallocating the whole tape (see recycle.go).
+// Graphs recycle: Reset rewinds the tape's region and returns every node slab
+// to the pool, so per-epoch loops reuse one graph instead of reallocating the
+// whole tape (see recycle.go).
 type Graph struct {
 	nodes []*Node
 
@@ -103,9 +103,11 @@ type Graph struct {
 	// busy is the single-writer tripwire flag toggled around each append.
 	busy atomic.Bool
 
-	// owned lists the arena tensors allocated through Alloc, reclaimed on
-	// Reset.
-	owned []*tensor.Tensor
+	// region is the private bump allocator behind Alloc/AllocLike, rewound
+	// on Reset.
+	region tensor.Region
+	// lstmZero and lstmWork are the fused LSTM cell's scratch (lstmcell.go).
+	lstmZero, lstmWork []float64
 	// cur/curUsed/full are the node slabs backing this tape's nodes.
 	cur     []Node
 	curUsed int
@@ -154,8 +156,8 @@ func (g *Graph) Const(t *tensor.Tensor) *Node {
 	return g.newNode(t, false)
 }
 
-// ensureGrad allocates the node's gradient buffer on first use. It draws from
-// the graph arena, so gradient buffers recycle with the tape.
+// ensureGrad allocates the node's gradient buffer on first use. It carves from
+// the graph's region, so gradient buffers recycle with the tape.
 func (n *Node) ensureGrad() *tensor.Tensor {
 	if n.Grad == nil {
 		n.Grad = n.graph.AllocLike(n.Value)

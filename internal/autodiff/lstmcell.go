@@ -23,7 +23,7 @@ import (
 //	cNew  = Add(Mul(f, cPrev), Mul(i, g))
 //	hNew  = Mul(o, Tanh(cNew))
 //
-// at any worker count, arena mode, and input — including signed zeros and
+// at any worker count, pooling mode, and input — including signed zeros and
 // infinities. The single carve-out is NaN payload bits: x86 NaN propagation
 // returns the first NaN source operand, and operand order of commutative
 // float ops is a compiler choice, so a NaN combined from two distinct NaNs
@@ -47,6 +47,22 @@ import (
 // cell-state gradient in the seventh H-slot (dcAcc), written by step t+1's
 // backward before step t's runs (reverse tape order guarantees it).
 func lstmCellExtSize(hidden int) int { return 7 * hidden }
+
+// lstmScratch returns the tape's fused-cell scratch: a read-only all-zero
+// initial state of length hidden and a 4·hidden work row (the forward's h·Wh
+// projection, the backward's gate gradients). Both live as long as the tape
+// and grow on demand, so a step allocates nothing. The zero state has its own
+// buffer, never written, so it stays exactly zero whatever widths share the
+// tape.
+func (g *Graph) lstmScratch(hidden int) (zero, work []float64) {
+	if len(g.lstmZero) < hidden {
+		g.lstmZero = make([]float64, hidden)
+	}
+	if len(g.lstmWork) < 4*hidden {
+		g.lstmWork = make([]float64, 4*hidden)
+	}
+	return g.lstmZero[:hidden], g.lstmWork[:4*hidden]
+}
 
 // LSTMCell records one fused LSTM timestep and returns h(t) as a rank-1
 // node of length hidden. pre is the hoisted input projection X·Wx+b of the
@@ -83,22 +99,16 @@ func LSTMCell(pre *Node, t int, prev *Node, wh *Node, hidden int) *Node {
 	gv := ext.Data[4*hidden : 5*hidden]
 	th := ext.Data[5*hidden : 6*hidden]
 
-	var hPrev, cPrev []float64
-	var zero *tensor.Tensor
+	zero, hwd := g.lstmScratch(hidden)
+	hPrev, cPrev := zero, zero
 	if prev != nil {
 		hPrev = prev.Value.Data
 		cPrev = prev.ext.Data[0:hidden]
-	} else {
-		// The initial state is a genuine zero vector, and the projection and
-		// gate arithmetic run on it honestly: 0·Wh is only ±0 when Wh is
-		// finite, and the unfused path computes it, so the fused one must.
-		zero = tensor.Get(hidden)
-		hPrev, cPrev = zero.Data, zero.Data
 	}
-
-	hw := tensor.Get(h4)
-	tensor.VecMatTo(hw.Data, hPrev, wh.Value.Data, hidden, h4)
-	hwd := hw.Data
+	// At t=0 the initial state is a genuine zero vector, and the projection
+	// and gate arithmetic run on it honestly: 0·Wh is only ±0 when Wh is
+	// finite, and the unfused path computes it, so the fused one must.
+	tensor.VecMatTo(hwd, hPrev, wh.Value.Data, hidden, h4)
 	preRow := pre.Value.Data[t*h4 : (t+1)*h4]
 
 	val := g.Alloc(hidden)
@@ -118,10 +128,6 @@ func LSTMCell(pre *Node, t int, prev *Node, wh *Node, hidden int) *Node {
 		iv[j], fv[j], ov[j], gv[j] = ij, fj, oj, gj
 		cv[j], th[j] = cj, tj
 		val.Data[j] = oj * tj
-	}
-	tensor.Put(hw)
-	if zero != nil {
-		tensor.Put(zero)
 	}
 
 	req := pre.requires || wh.requires || (prev != nil && prev.requires)
@@ -154,8 +160,9 @@ func backLSTMCell(out *Node) {
 	dcAcc := ext[6*hidden : 7*hidden]
 	grad := out.Grad.Data
 
-	var cPrev, hPrev, prevDc []float64
-	var zero *tensor.Tensor
+	zero, dgd := out.graph.lstmScratch(hidden)
+	hPrev, cPrev := zero, zero
+	var prevDc []float64
 	if prev != nil {
 		hPrev = prev.Value.Data
 		cPrev = prev.ext.Data[0:hidden]
@@ -164,13 +171,8 @@ func backLSTMCell(out *Node) {
 			// The dc(t+1) contribution below writes through this alias.
 			prev.ext.NoteMutation()
 		}
-	} else {
-		zero = tensor.Get(hidden)
-		hPrev, cPrev = zero.Data, zero.Data
 	}
 
-	dg := tensor.Get(h4)
-	dgd := dg.Data
 	for j := 0; j < hidden; j++ {
 		gj := grad[j]
 		tj, oj := th[j], ov[j]
@@ -205,9 +207,5 @@ func backLSTMCell(out *Node) {
 		for j, v := range dgd[:h4] {
 			prow[j] += v
 		}
-	}
-	tensor.Put(dg)
-	if zero != nil {
-		tensor.Put(zero)
 	}
 }

@@ -1,6 +1,7 @@
 package autodiff
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -198,4 +199,68 @@ func TestLSTMCellChildTape(t *testing.T) {
 	whPar, wxPar := run(4)
 	requireBits(t, "wh.Grad workers=4", whPar.Data, whSerial.Data)
 	requireBits(t, "wx.Grad workers=4", wxPar.Data, wxSerial.Data)
+}
+
+// TestLSTMCellMixedWidthsZeroState records LSTMs of hidden 32, 24 and 32
+// again on one tape. They share the tape's cell scratch, whose t=0 zero state
+// must stay exactly zero although the widths differ: every output and
+// gradient must match the unfused oracle run alone on a fresh tape.
+func TestLSTMCellMixedWidthsZeroState(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	const steps, in = 4, 3
+	type lstm struct {
+		hidden     int
+		x          *tensor.Tensor
+		wx, wh, b  *Parameter
+		out, grads []float64
+	}
+	var ls []*lstm
+	for _, hidden := range []int{32, 24, 32} {
+		ls = append(ls, &lstm{
+			hidden: hidden,
+			x:      tensor.Randn(rng, 1, steps, in),
+			wx:     randParam(rng, "wx", in, 4*hidden),
+			wh:     randParam(rng, "wh", hidden, 4*hidden),
+			b:      randParam(rng, "b", 4*hidden),
+		})
+	}
+	grads := func(l *lstm) []float64 {
+		var out []float64
+		for _, p := range []*Parameter{l.wx, l.wh, l.b} {
+			out = append(out, p.Grad.Data...)
+			p.ZeroGrad()
+		}
+		return out
+	}
+
+	g := NewGraph()
+	defer g.Release()
+	var total *Node
+	for _, l := range ls {
+		out := fusedLSTMRef(g.Const(l.x), g.Param(l.wx), g.Param(l.wh), g.Param(l.b), l.hidden)
+		l.out = append([]float64(nil), out.Value.Data...)
+		if total == nil {
+			total = Sum(out)
+		} else {
+			total = Add(total, Sum(out))
+		}
+	}
+	g.Backward(total)
+	for _, l := range ls {
+		l.grads = grads(l)
+	}
+	for i, v := range g.lstmZero {
+		if v != 0 || math.Signbit(v) {
+			t.Fatalf("tape zero state dirtied at %d: %v", i, v)
+		}
+	}
+
+	for i, l := range ls {
+		ref := NewGraph()
+		out := unfusedLSTMRef(ref, ref.Const(l.x), ref.Param(l.wx), ref.Param(l.wh), ref.Param(l.b), l.hidden)
+		ref.Backward(Sum(out))
+		requireBits(t, fmt.Sprintf("lstm %d (hidden %d) output", i, l.hidden), l.out, out.Value.Data)
+		requireBits(t, fmt.Sprintf("lstm %d (hidden %d) grads", i, l.hidden), l.grads, grads(l))
+		ref.Release()
+	}
 }

@@ -15,10 +15,11 @@ import (
 // joined tape, and therefore Backward's reverse replay and every gradient
 // accumulation, is identical at any worker count.
 //
-// Child tapes pool through the parent: Join hands a child's node slabs and
-// owned tensors to the parent (they are reclaimed at the parent's Reset) and
-// parks the empty child struct on g.children, where the next Fork picks it
-// up. A steady-state epoch loop therefore forks without allocating.
+// Child tapes pool through the parent: Join hands a child's node slabs to the
+// parent (they are reclaimed at the parent's Reset) and parks the child on
+// g.children, where the next Fork picks it up. The child keeps its region,
+// which still backs the joined nodes' tensors; the parent's Reset rewinds it.
+// A steady-state epoch loop therefore forks without allocating.
 
 // Fork creates a child tape of g, reusing a pooled child when one is
 // available. Nodes recorded on the child may reference parent-tape nodes via
@@ -58,8 +59,8 @@ func (g *Graph) Ref(n *Node) *Node {
 // Join splices child tapes created by Fork back into g, in argument order.
 // Every child node is re-homed onto g, so results built on a child behave
 // exactly as if they had been recorded on g directly. The child's node slabs
-// and owned tensors transfer to g (reclaimed at g's Reset); the emptied child
-// struct is parked for reuse by the next Fork. The children must not be used
+// transfer to g (reclaimed at g's Reset); the child, with its still-live
+// region, is parked for reuse by the next Fork. The children must not be used
 // after Join.
 func (g *Graph) Join(subs ...*Graph) {
 	for _, sub := range subs {
@@ -74,12 +75,6 @@ func (g *Graph) Join(subs ...*Graph) {
 			sub.nodes[i] = nil
 		}
 		sub.nodes = sub.nodes[:0]
-
-		g.owned = append(g.owned, sub.owned...)
-		for i := range sub.owned {
-			sub.owned[i] = nil
-		}
-		sub.owned = sub.owned[:0]
 
 		// The child's slabs hold live nodes now referenced by g.nodes; they
 		// return to the global pool only after g.Reset zeroes them.
@@ -108,28 +103,21 @@ func (g *Graph) Join(subs ...*Graph) {
 // resulting tape — and all floats derived from it — depends only on n, never
 // on scheduling.
 func ForkJoin(g *Graph, workers, n int, build func(sub *Graph, i int) *Node) []*Node {
-	subs := make([]*Graph, n)
-	for i := range subs {
-		subs[i] = g.Fork()
-	}
-	outs := make([]*Node, n)
-	parallel.ForWorkers(workers, n, 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			outs[i] = build(subs[i], i)
-		}
-	})
-	g.Join(subs...)
-	return outs
+	return forkJoin(g, workers, n, build)
 }
 
 // ForkJoinK is ForkJoin for builders that return several nodes per item
 // (e.g. a per-route logit and gain pair).
 func ForkJoinK(g *Graph, workers, n int, build func(sub *Graph, i int) []*Node) [][]*Node {
+	return forkJoin(g, workers, n, build)
+}
+
+func forkJoin[T any](g *Graph, workers, n int, build func(sub *Graph, i int) T) []T {
 	subs := make([]*Graph, n)
 	for i := range subs {
 		subs[i] = g.Fork()
 	}
-	outs := make([][]*Node, n)
+	outs := make([]T, n)
 	parallel.ForWorkers(workers, n, 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			outs[i] = build(subs[i], i)

@@ -2,6 +2,7 @@ package autodiff
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"ovs/internal/tensor"
@@ -118,4 +119,48 @@ func TestSiblingForkMixPanics(t *testing.T) {
 		}
 	}()
 	Add(na, nb)
+}
+
+// TestForkJoinRegionStress records many fork children at once, each carving
+// tagged tensors of mixed sizes from its private region while the regions
+// grow concurrently from the shared chunk pool. After Join every tensor must
+// still hold its child's tag (no two children ever share memory), and after
+// Reset the next pass must see zero-filled carves again. Run under -race at
+// every worker count, this is the locking proof of the chunk pool.
+func TestForkJoinRegionStress(t *testing.T) {
+	const children, passes = 24, 4
+	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+		g := NewGraph()
+		live := make([][]*tensor.Tensor, children)
+		for pass := 0; pass < passes; pass++ {
+			g.Reset()
+			ForkJoin(g, workers, children, func(sub *Graph, i int) *Node {
+				rng := rand.New(rand.NewSource(int64(pass*children + i)))
+				tag := float64(i + 1)
+				live[i] = live[i][:0]
+				for k := 0; k < 30; k++ {
+					x := sub.Alloc(1 + rng.Intn(3000))
+					for j, v := range x.Data {
+						if v != 0 {
+							t.Errorf("workers=%d: carve returned dirty memory at %d: %v", workers, j, v)
+							break
+						}
+						x.Data[j] = tag
+					}
+					live[i] = append(live[i], x)
+				}
+				return sub.Const(live[i][0])
+			})
+			for i, ts := range live {
+				for _, x := range ts {
+					for _, v := range x.Data {
+						if v != float64(i+1) {
+							t.Fatalf("workers=%d pass %d: child %d's tensor holds %v", workers, pass, i, v)
+						}
+					}
+				}
+			}
+		}
+		g.Release()
+	}
 }

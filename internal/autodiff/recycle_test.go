@@ -1,6 +1,7 @@
 package autodiff
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -87,9 +88,12 @@ func TestPooledVsFreshGradients(t *testing.T) {
 	}
 }
 
-// TestResetReclaimsOwnedTensors checks that Reset actually returns owned
-// tensors to the arena (the second pass is served from the pool) and that
-// Release leaves the graph reusable.
+// TestResetReclaimsOwnedTensors checks that Reset rewinds the tape's regions
+// (its own and every parked fork child's): after the first pass's tensors are
+// dirtied, a second identical pass takes zero new chunks, sees only
+// zero-filled tensors — its losses and gradients match the first pass
+// bitwise, which accumulation into a dirty buffer would break — and Release
+// leaves the graph reusable.
 func TestResetReclaimsOwnedTensors(t *testing.T) {
 	restore := tensor.PoolingEnabled()
 	defer tensor.SetPooling(restore)
@@ -97,15 +101,45 @@ func TestResetReclaimsOwnedTensors(t *testing.T) {
 
 	p1, p2, x := testParams(13)
 	g := NewGraph()
-	buildLossPass(g, p1, p2, x)
-	before := tensor.Default.Stats()
-	g.Reset()
-	after := tensor.Default.Stats()
-	if after.Puts <= before.Puts {
-		t.Fatal("Reset returned no tensors to the arena")
+	loss1 := buildLossPass(g, p1, p2, x)
+	g1, g2 := p1.Grad.Clone(), p2.Grad.Clone()
+	var shapes [][]int
+	for _, n := range g.nodes {
+		for _, v := range []*tensor.Tensor{n.Value, n.Grad} {
+			if v == nil || v == x || v == p1.Value || v == p2.Value || v == p1.Grad || v == p2.Grad {
+				continue
+			}
+			shapes = append(shapes, v.Shape())
+			v.Fill(math.NaN())
+		}
 	}
+	g.Reset()
 	if g.NumNodes() != 0 {
 		t.Fatalf("Reset left %d nodes on the tape", g.NumNodes())
+	}
+
+	before := tensor.Default.Stats()
+	p1.ZeroGrad()
+	p2.ZeroGrad()
+	loss2 := buildLossPass(g, p1, p2, x)
+	g.Reset()
+	for _, sh := range shapes {
+		for i, v := range g.Alloc(sh...).Data {
+			if v != 0 {
+				t.Fatalf("carve of shape %v after Reset not zeroed at %d: %v", sh, i, v)
+			}
+		}
+	}
+	g.Reset()
+	after := tensor.Default.Stats()
+	if d := after.Misses - before.Misses; d != 0 {
+		t.Fatalf("second identical pass took %d new chunks, want 0", d)
+	}
+	if after.Hits == before.Hits {
+		t.Fatal("second pass carved nothing from the retained regions")
+	}
+	if loss2 != loss1 || !tensor.AllClose(p1.Grad, g1, 0) || !tensor.AllClose(p2.Grad, g2, 0) {
+		t.Fatal("second pass over dirtied regions changed the loss or gradients")
 	}
 
 	// The graph keeps working after Release (it just starts cold).

@@ -194,9 +194,8 @@ func backReshape(out *Node) {
 
 // Reshape returns a copy of a with a new shape of the same total size.
 // Gradients flow through unchanged (the flat layout is identical). The copy —
-// rather than a tensor view — keeps the output graph-owned and poolable: a
-// view would alias the operand's backing array, which the arena must never
-// see twice.
+// rather than a tensor view — keeps every graph-owned tensor the sole owner
+// of its memory (see the ownership rule in recycle.go).
 func Reshape(a *Node, shape ...int) *Node {
 	g := a.graph
 	val := g.Alloc(shape...)

@@ -64,7 +64,7 @@ type CkptOptions struct {
 // training pipeline. The headline guarantee: a run interrupted at any epoch
 // (or restart) and resumed from its checkpoint produces bitwise-identical
 // parameters, optimizer state, and loss history to a run that never stopped,
-// at any worker count and with arena pooling on or off.
+// at any worker count and with pooling on or off.
 type Checkpointer struct {
 	m    *Model
 	opts CkptOptions

@@ -44,8 +44,8 @@ func (m *Model) trainV2S(ctx context.Context, samples []Sample, epochs, start in
 	}
 	params := m.V2S.Params()
 	history := hist
-	// One recycled graph serves every sample of every epoch: Reset returns
-	// the previous tape's tensors to the arena before each forward pass.
+	// One recycled graph serves every sample of every epoch: Reset rewinds
+	// the tape's regions before each forward pass.
 	g := autodiff.NewGraph()
 	defer g.Release()
 	for e := start; e < epochs; e++ {

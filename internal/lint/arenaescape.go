@@ -3,36 +3,38 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
-// ArenaEscape enforces the arena ownership rule (DESIGN.md §11): a tensor
-// drawn from the arena — tensor.Get/GetLike, an Arena's Get/GetLike, or a
-// Graph's Alloc/AllocLike — is reclaimed by Graph.Reset (or an explicit
-// Put), and any reference that survives past that point dangles: the buffer
-// is zeroed and handed to an unrelated computation, which corrupts results
-// silently at exactly the worker count and epoch where the pool recycles it.
+// ArenaEscape enforces the region ownership rule (DESIGN.md §11): a tensor
+// carved from a tape's region — Graph.Alloc/AllocLike or Region.Alloc/
+// AllocLike — or a chunk taken from the chunk pool (ChunkPool.take) is
+// reclaimed when its owner resets or releases it, and any reference that
+// survives past that point dangles: the memory is zeroed and carved for an
+// unrelated computation, which corrupts results silently at exactly the
+// worker count and epoch where the region rewinds.
 //
 // The analysis is an intraprocedural taint pass over the CFG. A source call
 // taints the assigned local; taint propagates through ident copies, Reshape
 // views (they share the backing array), slicing, and composite literals that
-// embed a tainted value. Taint dies when ownership is settled:
+// embed a tainted value. Only Clone settles ownership, by copying the data
+// out of the region; returning memory to its owner (a chunk put, a region
+// Reset) never does, since the value is then dangling.
 //
-//   - tensor.Put / Arena.Put returns the buffer to the pool;
-//   - appending to an `owned` field registers the tensor with the graph's
-//     ownership ledger (the Graph.Alloc pattern), which reclaims it on Reset;
-//   - Clone copies the data out of the arena entirely.
-//
-// Still-tainted values must not outlive the frame in a way the graph cannot
+// Still-tainted values must not outlive the frame in a way the owner cannot
 // see: a store into a struct field, package-level variable, map or slice
-// element of either, a channel send, or a return hands the arena buffer to
-// an owner with an unknown lifetime and is a diagnostic. Passing a tainted
-// value as a call argument is fine — the callee is subject to the same
-// analysis. Storing into fields of an autodiff Node is also fine: nodes die
-// with the tape, at the same Reset that reclaims the tensor.
+// element of either, a channel send, or a return hands the memory to an
+// owner with an unknown lifetime and is a diagnostic. Passing a tainted value
+// as a call argument is fine — the callee is subject to the same analysis.
+// Storing into fields of an autodiff Node is also fine: nodes die with the
+// tape, at the same Reset that rewinds the region.
+//
+// One return is sanctioned: an Alloc/AllocLike method may return a carve of
+// the region that is its own receiver or a field of its receiver (Graph.Alloc
+// returning g.region.Alloc, Region.AllocLike returning r.Alloc). Such a
+// method is itself a source, so the carve stays tracked in every caller.
 var ArenaEscape = &Analyzer{
 	Name: "arenaescape",
-	Doc:  "flags arena-allocated tensors escaping through fields, globals, channels, or returns",
+	Doc:  "flags region-owned tensors and pool chunks escaping through fields, globals, channels, or returns",
 	Run: func(p *Pass) {
 		for _, f := range p.Files {
 			for _, fb := range FuncBodies(f) {
@@ -80,8 +82,41 @@ func escEqual(a, b escFact) bool {
 }
 
 type arenaEscScope struct {
-	pass   *Pass
+	pass *Pass
+	// owner is the receiver of an Alloc/AllocLike method (the one function
+	// shape allowed to return a carve), or nil.
+	owner  types.Object
 	report func(n ast.Node, what string)
+}
+
+// ownerRecv returns the receiver object when fb is an Alloc/AllocLike method,
+// the sanctioned owner-returns-own-carve shape.
+func ownerRecv(p *Pass, fb FuncBody) types.Object {
+	if fb.Recv == nil || len(fb.Recv.List) != 1 || len(fb.Recv.List[0].Names) != 1 {
+		return nil
+	}
+	if fb.Name != "Alloc" && fb.Name != "AllocLike" {
+		return nil
+	}
+	return p.Info.Defs[fb.Recv.List[0].Names[0]]
+}
+
+// ownCarve reports whether e is a region carve of the owner's own region:
+// owner.Alloc(...) / owner.AllocLike(...) or owner.f.Alloc(...) /
+// owner.f.AllocLike(...).
+func (sc *arenaEscScope) ownCarve(e ast.Expr) bool {
+	if sc.owner == nil {
+		return false
+	}
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok || !isArenaSource(sc.pass, call) {
+		return false
+	}
+	recv := ast.Unparen(call.Fun.(*ast.SelectorExpr).X)
+	if f, ok := recv.(*ast.SelectorExpr); ok {
+		recv = ast.Unparen(f.X)
+	}
+	return usedIdentObj(sc.pass, recv) == sc.owner
 }
 
 func checkArenaEscape(p *Pass, fb FuncBody) {
@@ -100,7 +135,7 @@ func checkArenaEscape(p *Pass, fb FuncBody) {
 		return
 	}
 
-	sc := &arenaEscScope{pass: p}
+	sc := &arenaEscScope{pass: p, owner: ownerRecv(p, fb)}
 	cfg := BuildCFG(fb.Body)
 	spec := FlowSpec[escFact]{
 		Entry: escFact{},
@@ -113,7 +148,7 @@ func checkArenaEscape(p *Pass, fb FuncBody) {
 	in, _ := SolveForward(cfg, spec)
 
 	sc.report = func(n ast.Node, what string) {
-		p.Reportf(n.Pos(), "arena-allocated tensor %s; the arena reclaims it on Graph.Reset — Clone it, Put it back, or register ownership before it leaves this frame", what)
+		p.Reportf(n.Pos(), "region-owned memory %s; its owner reclaims it on Reset — Clone it before it leaves this frame", what)
 	}
 	for _, b := range cfg.Blocks {
 		fact, reachable := in[b]
@@ -139,17 +174,6 @@ func (sc *arenaEscScope) transfer(fact escFact, n ast.Node) escFact {
 
 	switch s := n.(type) {
 	case *ast.AssignStmt:
-		// Ownership transfers on the RHS first: append(g.owned, t) settles t.
-		for _, rhs := range s.Rhs {
-			if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok && isOwnedAppend(sc.pass, call) {
-				for _, arg := range call.Args[1:] {
-					if obj := usedIdentObj(sc.pass, arg); obj != nil && out[obj] {
-						delete(mutable(), obj)
-					}
-				}
-			}
-		}
-		ownedTransfer := len(s.Rhs) == 1 && isOwnedAppendExpr(sc.pass, s.Rhs[0])
 		for i, lhs := range s.Lhs {
 			var rhs ast.Expr
 			if len(s.Rhs) == len(s.Lhs) {
@@ -160,7 +184,7 @@ func (sc *arenaEscScope) transfer(fact escFact, n ast.Node) escFact {
 			case direct && obj != nil:
 				// Only values whose type can carry the tensor propagate
 				// taint: `v := t.Data[0]` extracts a scalar, not the buffer.
-				tainted := rhs != nil && typeCarriesTensor(sc.pass.TypeOf(lhs)) && sc.taintedExpr(out, rhs)
+				tainted := rhs != nil && typeCarriesRegion(sc.pass.TypeOf(lhs)) && sc.taintedExpr(out, rhs)
 				if tainted && isPackageLevel(obj) {
 					if sc.report != nil {
 						sc.report(lhs, "stored into a package-level variable")
@@ -175,7 +199,7 @@ func (sc *arenaEscScope) transfer(fact escFact, n ast.Node) escFact {
 				}
 			default:
 				// Non-ident target: field store, global, or element write.
-				if rhs != nil && typeCarriesTensor(sc.pass.TypeOf(rhs)) && sc.taintedExpr(out, rhs) && !ownedTransfer {
+				if rhs != nil && typeCarriesRegion(sc.pass.TypeOf(rhs)) && sc.taintedExpr(out, rhs) {
 					if what, bad := escapingTarget(sc.pass, lhs); bad {
 						if sc.report != nil {
 							sc.report(lhs, "stored into "+what)
@@ -185,26 +209,16 @@ func (sc *arenaEscScope) transfer(fact escFact, n ast.Node) escFact {
 			}
 		}
 	case *ast.SendStmt:
-		if typeCarriesTensor(sc.pass.TypeOf(s.Value)) && sc.taintedExpr(out, s.Value) {
+		if typeCarriesRegion(sc.pass.TypeOf(s.Value)) && sc.taintedExpr(out, s.Value) {
 			if sc.report != nil {
 				sc.report(s, "sent on a channel")
 			}
 		}
 	case *ast.ReturnStmt:
 		for _, res := range s.Results {
-			if typeCarriesTensor(sc.pass.TypeOf(res)) && sc.taintedExpr(out, res) {
+			if typeCarriesRegion(sc.pass.TypeOf(res)) && !sc.ownCarve(res) && sc.taintedExpr(out, res) {
 				if sc.report != nil {
 					sc.report(res, "returned to the caller")
-				}
-			}
-		}
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if isArenaPut(sc.pass, call) {
-				for _, arg := range call.Args {
-					if obj := usedIdentObj(sc.pass, arg); obj != nil && out[obj] {
-						delete(mutable(), obj)
-					}
 				}
 			}
 		}
@@ -212,8 +226,8 @@ func (sc *arenaEscScope) transfer(fact escFact, n ast.Node) escFact {
 	return out
 }
 
-// taintedExpr reports whether e evaluates to (or embeds) an arena-owned
-// value under the current fact.
+// taintedExpr reports whether e evaluates to (or embeds) region-owned memory
+// under the current fact.
 func (sc *arenaEscScope) taintedExpr(fact escFact, e ast.Expr) bool {
 	tainted := false
 	inspectNoFuncLit(e, func(n ast.Node) bool {
@@ -228,11 +242,6 @@ func (sc *arenaEscScope) taintedExpr(fact escFact, e ast.Expr) bool {
 		case *ast.CallExpr:
 			if isArenaSource(sc.pass, n) {
 				tainted = true
-				return false
-			}
-			if isOwnedAppend(sc.pass, n) {
-				// The append both consumes the taint and yields the ledger
-				// slice, which is not itself an escaping value.
 				return false
 			}
 			// Calls otherwise launder taint (Clone, kernels): do not descend
@@ -285,13 +294,14 @@ func escapingTarget(p *Pass, lhs ast.Expr) (string, bool) {
 	return "", false
 }
 
-// typeCarriesTensor reports whether a value of type t can hold (a reference
-// to) a tensor: the tensor itself, or a pointer/slice/array/map/channel
-// whose element reaches one. Struct types are excluded — field stores are
-// classified as sinks, not carriers.
-func typeCarriesTensor(t types.Type) bool {
+// typeCarriesRegion reports whether a value of type t can hold (a reference
+// to) region-owned memory: a tensor or a float64 slice (a chunk, or a
+// tensor's Data), or a pointer/slice/array/map/channel whose element reaches
+// one. Struct types are excluded — field stores are classified as sinks, not
+// carriers.
+func typeCarriesRegion(t types.Type) bool {
 	for i := 0; i < 8 && t != nil; i++ {
-		if isTensorType(t) {
+		if isTensorType(t) || isFloatSlice(t) {
 			return true
 		}
 		switch u := t.Underlying().(type) {
@@ -317,53 +327,21 @@ func isPackageLevel(obj types.Object) bool {
 	return obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope()
 }
 
-// isArenaSource classifies calls that hand out arena-owned tensors:
-// tensor.Get/GetLike, Arena.Get/GetLike, Graph.Alloc/AllocLike.
+// isArenaSource classifies calls that hand out region-owned memory:
+// Graph.Alloc/AllocLike, Region.Alloc/AllocLike, and ChunkPool.take.
 func isArenaSource(p *Pass, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
+	recv := p.TypeOf(sel.X)
 	switch sel.Sel.Name {
-	case "Get", "GetLike":
-		if isTensorPkgIdent(p, sel.X) || isArenaType(p.TypeOf(sel.X)) {
-			return true
-		}
 	case "Alloc", "AllocLike":
-		return isGraphType(p.TypeOf(sel.X))
+		return isGraphType(recv) || isNamedType(recv, "Region", "internal/tensor")
+	case "take":
+		return isNamedType(recv, "ChunkPool", "internal/tensor")
 	}
 	return false
-}
-
-// isArenaPut matches tensor.Put and Arena.Put.
-func isArenaPut(p *Pass, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Put" {
-		return false
-	}
-	return isTensorPkgIdent(p, sel.X) || isArenaType(p.TypeOf(sel.X))
-}
-
-// isOwnedAppend matches `append(x.owned, ...)`: registration with a graph's
-// ownership ledger.
-func isOwnedAppend(p *Pass, call *ast.CallExpr) bool {
-	id, ok := call.Fun.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	if b, ok := p.Info.Uses[id].(*types.Builtin); !ok || b.Name() != "append" {
-		return false
-	}
-	if len(call.Args) < 2 {
-		return false
-	}
-	sel, ok := ast.Unparen(call.Args[0]).(*ast.SelectorExpr)
-	return ok && sel.Sel.Name == "owned"
-}
-
-func isOwnedAppendExpr(p *Pass, e ast.Expr) bool {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	return ok && isOwnedAppend(p, call)
 }
 
 // usedIdentObj returns the object of a plain identifier expression.
@@ -376,17 +354,4 @@ func usedIdentObj(p *Pass, e ast.Expr) types.Object {
 }
 
 // isNodeType reports whether t is (a pointer to) autodiff.Node.
-func isNodeType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Node" && obj.Pkg() != nil && strings.HasSuffix(obj.Pkg().Path(), "internal/autodiff")
-}
+func isNodeType(t types.Type) bool { return isNamedType(t, "Node", "internal/autodiff") }

@@ -551,7 +551,7 @@ func FuncBodies(f *ast.File) []FuncBody {
 		if !ok || fd.Body == nil {
 			continue
 		}
-		out = append(out, FuncBody{Name: fd.Name.Name, Type: fd.Type, Body: fd.Body})
+		out = append(out, FuncBody{Name: fd.Name.Name, Recv: fd.Recv, Type: fd.Type, Body: fd.Body})
 		name := fd.Name.Name
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			if lit, ok := n.(*ast.FuncLit); ok {
@@ -567,6 +567,8 @@ func FuncBodies(f *ast.File) []FuncBody {
 // FuncBody is one analyzable function: a declaration or a literal.
 type FuncBody struct {
 	Name string
+	// Recv is a method's receiver list (nil for functions and literals).
+	Recv *ast.FieldList
 	Type *ast.FuncType
 	Body *ast.BlockStmt
 	// Lit marks a function literal.

@@ -21,8 +21,8 @@ import (
 //
 //   - the tensor is function-local and never packable: it flows from a
 //     tensor constructor (New/Zeros/Ones/Full/FromSlice/Randn/RandUniform/
-//     Xavier), Clone or Map, an arena Get/GetLike (recycled buffers drop the
-//     packable mark), or a Graph.Alloc/AllocLike;
+//     Xavier), Clone or Map, or a Graph/Region Alloc/AllocLike (reused
+//     region headers drop the packable mark);
 //   - the tensor is a gradient: it flows from a `.Grad` field or an
 //     `ensureGrad` call — gradients are never marked packable;
 //   - the enclosing function calls NoteMutation on the same tensor (the
@@ -81,8 +81,8 @@ func collectNoted(p *Pass, root ast.Node) map[string]bool {
 // tensorProv is the provenance of one tracked local: a tensor variable or a
 // []float64 alias of a tensor's data slice.
 type tensorProv struct {
-	// safe means the value provably cannot be packable (fresh local, arena
-	// tensor, or gradient).
+	// safe means the value provably cannot be packable (fresh local, region
+	// carve, or gradient).
 	safe bool
 	// origin is the rendered expression of the tensor the value aliases
 	// ("t" for both `t` and `d := t.Data`), used to match NoteMutation
@@ -285,7 +285,7 @@ func (sc *dataMutScope) tensorRHSProv(fact mutFact, e ast.Expr) tensorProv {
 	return tensorProv{safe: false, origin: types.ExprString(e)}
 }
 
-// tensorCallProv classifies tensor-returning calls: constructors, arena and
+// tensorCallProv classifies tensor-returning calls: constructors, region and
 // graph allocators, Clone/Map, ensureGrad, and data-sharing views.
 func (sc *dataMutScope) tensorCallProv(fact mutFact, call *ast.CallExpr) tensorProv {
 	origin := types.ExprString(call)
@@ -295,7 +295,7 @@ func (sc *dataMutScope) tensorCallProv(fact mutFact, call *ast.CallExpr) tensorP
 		return tensorProv{safe: false, origin: origin}
 	case *ast.SelectorExpr:
 		name := fun.Sel.Name
-		// tensor.New / tensor.Get / arena.Get etc.
+		// tensor.New, tensor.Zeros etc.
 		if isTensorPkgIdent(sc.pass, fun.X) {
 			// The dst-returning kernels (AddTo, ScaleInPlace, MatMulNTAcc,
 			// ...) pass their first argument through: inherit its
@@ -308,7 +308,7 @@ func (sc *dataMutScope) tensorCallProv(fact mutFact, call *ast.CallExpr) tensorP
 			}
 			// Every other exported tensor-package function that yields a
 			// tensor allocates it fresh (constructors, Add/Mul/MatMul/
-			// Transpose/..., arena Get): fresh results carry no packed
+			// Transpose/...): fresh results carry no packed
 			// panels, so raw writes to them are harmless.
 			return tensorProv{safe: true, origin: origin}
 		}
@@ -318,14 +318,10 @@ func (sc *dataMutScope) tensorCallProv(fact mutFact, call *ast.CallExpr) tensorP
 			return tensorProv{safe: true, origin: origin}
 		case "ensureGrad":
 			return tensorProv{safe: true, origin: origin}
-		case "Get", "GetLike":
-			// Arena methods: recycled buffers drop the packable mark.
-			if isArenaType(sc.pass.TypeOf(fun.X)) {
-				return tensorProv{safe: true, origin: origin}
-			}
 		case "Alloc", "AllocLike":
-			// Graph allocators draw from the arena.
-			if isGraphType(sc.pass.TypeOf(fun.X)) {
+			// Graph and Region allocators carve from a region, and a reused
+			// header drops the packable mark.
+			if recv := sc.pass.TypeOf(fun.X); isGraphType(recv) || isNamedType(recv, "Region", "internal/tensor") {
 				return tensorProv{safe: true, origin: origin}
 			}
 		case "Reshape":
@@ -408,37 +404,13 @@ func (sc *dataMutScope) checkWrites(fact mutFact, n ast.Node) {
 
 // isTensorType reports whether t is *tensor.Tensor (or tensor.Tensor) from a
 // package whose import path ends in "internal/tensor".
-func isTensorType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Tensor" && obj.Pkg() != nil && strings.HasSuffix(obj.Pkg().Path(), "internal/tensor")
-}
+func isTensorType(t types.Type) bool { return isNamedType(t, "Tensor", "internal/tensor") }
 
-func isArenaType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Arena" && obj.Pkg() != nil && strings.HasSuffix(obj.Pkg().Path(), "internal/tensor")
-}
+func isGraphType(t types.Type) bool { return isNamedType(t, "Graph", "internal/autodiff") }
 
-func isGraphType(t types.Type) bool {
+// isNamedType reports whether t is (a pointer to) the named type name
+// declared in a package whose import path ends in pkgSuffix.
+func isNamedType(t types.Type, name, pkgSuffix string) bool {
 	if t == nil {
 		return false
 	}
@@ -450,7 +422,7 @@ func isGraphType(t types.Type) bool {
 		return false
 	}
 	obj := named.Obj()
-	return obj.Name() == "Graph" && obj.Pkg() != nil && strings.HasSuffix(obj.Pkg().Path(), "internal/autodiff")
+	return obj.Name() == name && obj.Pkg() != nil && strings.HasSuffix(obj.Pkg().Path(), pkgSuffix)
 }
 
 func isTensorExpr(p *Pass, e ast.Expr) bool {

@@ -2,8 +2,8 @@
 // enforces the repository's determinism, pooling, and concurrency invariants.
 //
 // The OVS training loop (DESIGN.md §10–11) is deterministic and
-// allocation-free only by convention: arena tensors must not escape their
-// graph, all concurrency must flow through internal/parallel, and
+// allocation-free only by convention: region-carved tensors must not escape
+// their graph, all concurrency must flow through internal/parallel, and
 // deterministic paths must never consume map-iteration order or global
 // randomness. No compiler checks those conventions; ovslint does. Each
 // invariant is guarded by one Analyzer, run over every non-test package of

@@ -190,6 +190,7 @@ func TestDataMutFixture(t *testing.T) {
 
 func TestArenaEscapeFixture(t *testing.T) {
 	checkFixture(t, []*Analyzer{ArenaEscape}, "arenaescape", "ovs/internal/nn")
+	checkFixture(t, []*Analyzer{ArenaEscape}, "arenaescapepool", "fixture/internal/tensor")
 }
 
 func TestLockBalanceFixture(t *testing.T) {

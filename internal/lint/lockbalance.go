@@ -11,7 +11,7 @@ import (
 // acquired inside a function is released on every control-flow path that
 // reaches the function's exit: by a matching Unlock/RUnlock on the path, or
 // by a deferred unlock registered before the path ends. The pack cache and
-// the arena free lists are mutex-guarded with early-unlock-and-return shapes
+// the chunk pool are mutex-guarded with early-unlock-and-return shapes
 // (packcache.go acquirePack has three unlock sites for one lock), which is
 // exactly the shape a refactor silently breaks — a missed path deadlocks the
 // next GEMM call rather than failing loudly.

@@ -1,7 +1,7 @@
-// Package arenaescape exercises the arenaescape analyzer: tensors drawn
-// from the arena (tensor.Get/GetLike, Arena.Get, Graph.Alloc) are reclaimed
-// on Graph.Reset and must not outlive the frame through fields, globals,
-// channels, or returns.
+// Package arenaescape exercises the arenaescape analyzer: tensors carved from
+// a tape's region (Graph.Alloc/AllocLike, Region.Alloc/AllocLike) are
+// reclaimed when the region rewinds and must not outlive the frame through
+// fields, globals, channels, or returns.
 package arenaescape
 
 import (
@@ -10,86 +10,105 @@ import (
 )
 
 type holder struct {
-	buf *tensor.Tensor
-}
-
-type graphLike struct {
-	owned []*tensor.Tensor
+	buf  *tensor.Tensor
+	data []float64
 }
 
 var global *tensor.Tensor
 
-// fieldEscape parks an arena buffer in a struct field that outlives Reset.
-func fieldEscape(h *holder) {
-	t := tensor.Get(4)
-	h.buf = t // want "arena-allocated tensor stored into a struct field"
+// fieldEscape parks a carve in a struct field that outlives Reset.
+func fieldEscape(g *autodiff.Graph, h *holder) {
+	t := g.Alloc(4)
+	h.buf = t // want "region-owned memory stored into a struct field"
 }
 
-// globalEscape parks an arena buffer in a package-level variable.
-func globalEscape() {
-	global = tensor.Get(4) // want "arena-allocated tensor stored into a package-level variable"
+// dataEscape parks a carve's Data slice, which is the region's memory.
+func dataEscape(g *autodiff.Graph, h *holder) {
+	h.data = g.Alloc(4).Data // want "region-owned memory stored into a struct field"
 }
 
-// returnEscape hands an arena buffer to a caller that cannot see the arena.
-func returnEscape() *tensor.Tensor {
-	t := tensor.Get(4)
-	return t // want "arena-allocated tensor returned to the caller"
+// globalEscape parks a carve in a package-level variable.
+func globalEscape(r *tensor.Region) {
+	global = r.Alloc(4) // want "region-owned memory stored into a package-level variable"
 }
 
-// channelEscape sends an arena buffer to an unknown receiver.
-func channelEscape(ch chan *tensor.Tensor) {
-	t := tensor.Get(4)
-	ch <- t // want "arena-allocated tensor sent on a channel"
+// returnEscape hands a carve to a caller that cannot see the region.
+func returnEscape(g *autodiff.Graph) *tensor.Tensor {
+	t := g.AllocLike(global)
+	return t // want "region-owned memory returned to the caller"
 }
 
-// reshapeEscape returns a view: views share the arena-owned backing array.
-func reshapeEscape() *tensor.Tensor {
-	t := tensor.Get(4)
-	return t.Reshape(2, 2) // want "arena-allocated tensor returned to the caller"
+// channelEscape sends a carve to an unknown receiver.
+func channelEscape(r *tensor.Region, ch chan *tensor.Tensor) {
+	t := r.Alloc(4)
+	ch <- t // want "region-owned memory sent on a channel"
 }
 
-// putSettles returns the buffer to the pool before the frame ends.
-func putSettles() {
-	t := tensor.Get(4)
-	t.Fill(1)
-	tensor.Put(t)
+// reshapeEscape returns a view: views share the region's memory.
+func reshapeEscape(g *autodiff.Graph) *tensor.Tensor {
+	t := g.Alloc(4)
+	return t.Reshape(2, 2) // want "region-owned memory returned to the caller"
 }
 
-// arenaPutSettles does the same through an explicit arena.
-func arenaPutSettles(a *tensor.Arena) float64 {
-	t := a.Get(4)
-	v := t.Data[0]
-	a.Put(t)
-	return v
-}
-
-// ownedAppendSettles registers the tensor with a graph-style ownership
-// ledger (the Graph.Alloc pattern); Reset reclaims it from there.
-func ownedAppendSettles(g *graphLike) *tensor.Tensor {
-	t := tensor.Get(4)
-	g.owned = append(g.owned, t)
-	return t
-}
-
-// cloneLaunders copies the data out of the arena entirely.
-func cloneLaunders() *tensor.Tensor {
-	t := tensor.Get(4)
-	defer tensor.Put(t)
-	return t.Clone()
-}
-
-// nodeFieldAllowed stores a Graph.Alloc tensor into an autodiff node: nodes
-// die with the tape at the same Reset that reclaims the tensor.
-func nodeFieldAllowed(g *autodiff.Graph, n *autodiff.Node) {
-	n.Grad = g.Alloc(4)
+// resetDoesNotSettle: rewinding the region leaves the carve dangling, so a
+// later store is still an escape.
+func resetDoesNotSettle(r *tensor.Region, h *holder) {
+	t := r.Alloc(4)
+	r.Reset()
+	h.buf = t // want "region-owned memory stored into a struct field"
 }
 
 // branchEscape leaks on only one path; the dataflow still sees it.
-func branchEscape(h *holder, cond bool) {
-	t := tensor.Get(4)
+func branchEscape(g *autodiff.Graph, h *holder, cond bool) {
+	t := g.Alloc(4)
 	if cond {
-		tensor.Put(t)
 		return
 	}
-	h.buf = t // want "arena-allocated tensor stored into a struct field"
+	h.buf = t // want "region-owned memory stored into a struct field"
+}
+
+// owner is a type that owns a region, like autodiff.Graph.
+type owner struct {
+	region tensor.Region
+}
+
+// Alloc returns a carve of its own region: the sanctioned owner shape. The
+// method is a source itself, so its callers are checked instead.
+func (o *owner) Alloc(shape ...int) *tensor.Tensor {
+	return o.region.Alloc(shape...)
+}
+
+// AllocLike is an owner method too, but the carve is not from its region.
+func (o *owner) AllocLike(g *autodiff.Graph, t *tensor.Tensor) *tensor.Tensor {
+	return g.AllocLike(t) // want "region-owned memory returned to the caller"
+}
+
+// Peek returns its own region's carve without being an allocator method.
+func (o *owner) Peek() *tensor.Tensor {
+	return o.region.Alloc(1) // want "region-owned memory returned to the caller"
+}
+
+// cloneLaunders copies the data out of the region entirely.
+func cloneLaunders(g *autodiff.Graph) *tensor.Tensor {
+	t := g.Alloc(4)
+	t.Fill(1)
+	return t.Clone()
+}
+
+// scalarAllowed extracts a value, not the memory.
+func scalarAllowed(r *tensor.Region) float64 {
+	t := r.Alloc(4)
+	v := t.Data[0]
+	return v
+}
+
+// argumentAllowed passes the carve down; the callee is checked on its own.
+func argumentAllowed(g *autodiff.Graph, a *tensor.Tensor) *tensor.Tensor {
+	return tensor.AddTo(tensor.New(4), g.Alloc(4), a)
+}
+
+// nodeFieldAllowed stores a carve into an autodiff node: nodes die with the
+// tape at the same Reset that rewinds the region.
+func nodeFieldAllowed(g *autodiff.Graph, n *autodiff.Node) {
+	n.Grad = g.Alloc(4)
 }

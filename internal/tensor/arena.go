@@ -1,271 +1,124 @@
 package tensor
 
 import (
-	"math/bits"
 	"sync"
 	"sync/atomic"
 )
 
-// This file implements the size-bucketed tensor arena behind the training hot
-// loop. The autodiff graph allocates every intermediate value and gradient
-// tensor through an Arena and returns them on Graph.Reset, so an epoch loop
-// that recycles its graph reaches a steady state with near-zero tensor
-// allocations.
+// This file implements the process-wide chunk pool behind every recycled
+// float64 buffer: the bump regions that back the autodiff tapes (region.go),
+// the blocked GEMM's packing and accumulate scratch, and the pack cache's
+// entry buffers. The pool trades whole chunks, so its lock is taken once per
+// chunk a region grows by or a GEMM call borrows, never once per tensor.
 //
-// Determinism rule: a buffer handed out by Get is always fully zeroed first,
-// so a pooled tensor is indistinguishable from a fresh New tensor. Every
-// kernel therefore produces bitwise-identical results whether its operands
-// came from the pool or from the garbage collector, at any worker count.
+// Determinism rule: pooled memory is never visible to a computation before
+// it is overwritten or zeroed — regions zero every tensor they carve, and the
+// in-package borrowers write every element they later read — so a pooled
+// buffer is indistinguishable from a fresh one and every kernel produces
+// bitwise-identical results with pooling on or off, at any worker count.
 
-// numClasses bounds the power-of-two size classes. Class c holds buffers
-// whose capacity is at least 1<<c floats; 48 classes cover any tensor this
-// repository can represent.
-const numClasses = 48
-
-// ArenaStats is a snapshot of an arena's traffic counters.
+// ArenaStats is a snapshot of the tensor-allocation counters.
 type ArenaStats struct {
-	// Hits counts Get calls served from a free list.
+	// Hits counts tensors carved from memory a region already held.
 	Hits uint64
-	// Misses counts Get calls that had to allocate fresh memory.
+	// Misses counts carves that needed a new chunk. Hits + Misses is the
+	// number of tensors the regions handed out.
 	Misses uint64
-	// Puts counts buffers accepted back into the pool.
-	Puts uint64
-	// Discards counts Put calls dropped because pooling was disabled or the
-	// buffer was unusable.
+	// Discards counts chunks dropped instead of pooled because pooling was
+	// disabled.
 	Discards uint64
 }
 
-// Arena is a concurrency-safe, size-bucketed free list of tensors. The zero
-// value is not usable; construct arenas with NewArena. Buffers are bucketed
-// by the largest power-of-two capacity they can guarantee, so a Get for n
-// elements is served by any buffer whose class covers n.
-type Arena struct {
-	enabled                      atomic.Bool
-	hits, misses, puts, discards atomic.Uint64
+// ChunkPool is a concurrency-safe free list of float64 chunks, kept sorted by
+// capacity and served best-fit. It also accumulates the allocation counters
+// the regions flush into it. The zero value is an empty pool with pooling
+// enabled.
+type ChunkPool struct {
+	off                    atomic.Bool
+	hits, misses, discards atomic.Uint64
 
-	buckets [numClasses]arenaBucket
-}
-
-type arenaBucket struct {
 	mu   sync.Mutex
-	free []*Tensor
+	free [][]float64 // ascending capacity
 }
 
-// NewArena returns an empty arena with pooling enabled.
-func NewArena() *Arena {
-	a := &Arena{}
-	a.enabled.Store(true)
-	return a
-}
-
-// ceilClass returns the smallest class whose buffers hold n floats.
-func ceilClass(n int) int {
-	if n <= 1 {
-		return 0
-	}
-	return bits.Len(uint(n - 1))
-}
-
-// floorClass returns the largest class a buffer of the given capacity can
-// serve, or -1 when the capacity is zero.
-func floorClass(capacity int) int {
-	if capacity <= 0 {
-		return -1
-	}
-	return bits.Len(uint(capacity)) - 1
-}
-
-// Get returns a zero-filled tensor of the given shape, reusing pooled memory
-// when available. It is safe for concurrent use.
-func (a *Arena) Get(shape ...int) *Tensor { return a.get(shape) }
-
-// GetLike returns a zero-filled tensor with t's shape, reusing pooled memory
-// when available.
-func (a *Arena) GetLike(t *Tensor) *Tensor { return a.get(t.shape) }
-
-// minRankCap is the minimum capacity of the shape and stride slices of a
-// pooled tensor. Buffers cycle through shapes of different rank as they are
-// reused; reserving room for the highest rank in the repository (rank 3, plus
-// slack) keeps reinit allocation-free no matter how ranks churn.
-const minRankCap = 4
-
-func arenaShape(shape []int) []int {
-	c := len(shape)
-	if c < minRankCap {
-		c = minRankCap
-	}
-	out := make([]int, len(shape), c)
-	copy(out, shape)
-	return out
-}
-
-func arenaStrides(shape []int) []int {
-	c := len(shape)
-	if c < minRankCap {
-		c = minRankCap
-	}
-	out := make([]int, len(shape), c)
-	s := 1
-	for i := len(shape) - 1; i >= 0; i-- {
-		out[i] = s
-		s *= shape[i]
-	}
-	return out
-}
-
-func (a *Arena) get(shape []int) *Tensor {
-	n := checkShape(shape)
-	if !a.enabled.Load() {
-		return &Tensor{
-			shape:   append([]int(nil), shape...),
-			strides: computeStrides(shape),
-			Data:    make([]float64, n),
+// take returns a chunk of length n. Its contents are unspecified: callers
+// zero or overwrite it before reading. A pooled chunk serves the request only
+// when its capacity is within twice n, so a small borrower never pins a large
+// chunk another caller could use.
+func (p *ChunkPool) take(n int) []float64 {
+	if !p.off.Load() {
+		p.mu.Lock()
+		lo, hi := 0, len(p.free)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if cap(p.free[mid]) < n {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
 		}
-	}
-	c := ceilClass(n)
-	if c >= numClasses {
-		a.misses.Add(1)
-		return &Tensor{
-			shape:   append([]int(nil), shape...),
-			strides: computeStrides(shape),
-			Data:    make([]float64, n),
+		if lo < len(p.free) && cap(p.free[lo]) <= 2*n {
+			c := p.free[lo]
+			last := len(p.free) - 1
+			copy(p.free[lo:], p.free[lo+1:])
+			p.free[last] = nil
+			p.free = p.free[:last]
+			p.mu.Unlock()
+			return c[:n]
 		}
+		p.mu.Unlock()
 	}
-	b := &a.buckets[c]
-	b.mu.Lock()
-	var t *Tensor
-	if k := len(b.free); k > 0 {
-		t = b.free[k-1]
-		b.free[k-1] = nil
-		b.free = b.free[:k-1]
-	}
-	b.mu.Unlock()
-	if t == nil {
-		a.misses.Add(1)
-		return &Tensor{
-			shape:   arenaShape(shape),
-			strides: arenaStrides(shape),
-			Data:    make([]float64, n, 1<<c),
-		}
-	}
-	a.hits.Add(1)
-	t.reinit(shape, n)
-	return t
+	return make([]float64, n)
 }
 
-// reinit rebinds a pooled tensor to a new shape and zeroes its data. The
-// shape and stride slices are reused in place when their capacity allows
-// (always, for tensors born in the pool — see minRankCap), so a steady-state
-// Get performs no allocation at all.
-func (t *Tensor) reinit(shape []int, n int) {
-	// A recycled buffer must never serve stale packed panels: drop the
-	// packable mark (pool tensors are short-lived op outputs, never weights)
-	// and bump the version so any cache entry keyed to a previous life of
-	// this pointer can no longer match.
-	if t.packable {
-		t.packable = false
-		t.version++
-	}
-	t.Data = t.Data[:n]
-	for i := range t.Data {
-		t.Data[i] = 0
-	}
-	if cap(t.shape) >= len(shape) {
-		t.shape = t.shape[:len(shape)]
-	} else {
-		t.shape = make([]int, len(shape), minRankCap)
-	}
-	copy(t.shape, shape)
-	if cap(t.strides) >= len(shape) {
-		t.strides = t.strides[:len(shape)]
-	} else {
-		t.strides = make([]int, len(shape), minRankCap)
-	}
-	s := 1
-	for i := len(shape) - 1; i >= 0; i-- {
-		t.strides[i] = s
-		s *= shape[i]
-	}
-}
-
-// Put returns a tensor's memory to the pool. The caller must be the sole
-// owner: the tensor, and any view sharing its backing array, must not be used
-// afterwards. Putting the same tensor twice is a fatal aliasing bug, which is
-// why only the autodiff graph (which tracks ownership explicitly) calls Put
-// in this repository.
-func (a *Arena) Put(t *Tensor) {
-	if t == nil {
+// put returns a chunk to the pool. The caller must be its sole owner: the
+// chunk, and every tensor carved from it, must not be used afterwards.
+func (p *ChunkPool) put(c []float64) {
+	if p.off.Load() {
+		p.discards.Add(1)
 		return
 	}
-	if !a.enabled.Load() {
-		a.discards.Add(1)
-		return
+	c = c[:cap(c)]
+	p.mu.Lock()
+	i := len(p.free)
+	for i > 0 && cap(p.free[i-1]) > len(c) {
+		i--
 	}
-	c := floorClass(cap(t.Data))
-	if c < 0 || c >= numClasses {
-		a.discards.Add(1)
-		return
-	}
-	a.puts.Add(1)
-	b := &a.buckets[c]
-	b.mu.Lock()
-	b.free = append(b.free, t)
-	b.mu.Unlock()
+	p.free = append(p.free, nil)
+	copy(p.free[i+1:], p.free[i:])
+	p.free[i] = c
+	p.mu.Unlock()
 }
 
-// Stats returns a snapshot of the arena's hit/miss counters.
-func (a *Arena) Stats() ArenaStats {
+// Stats returns a snapshot of the allocation counters.
+func (p *ChunkPool) Stats() ArenaStats {
 	return ArenaStats{
-		Hits:     a.hits.Load(),
-		Misses:   a.misses.Load(),
-		Puts:     a.puts.Load(),
-		Discards: a.discards.Load(),
+		Hits:     p.hits.Load(),
+		Misses:   p.misses.Load(),
+		Discards: p.discards.Load(),
 	}
 }
 
-// SetEnabled switches pooling on or off. Disabling drains the free lists, so
-// a disabled arena holds no memory and Get/Put degrade to plain allocation.
-func (a *Arena) SetEnabled(on bool) {
-	a.enabled.Store(on)
+// SetEnabled switches pooling on or off. Disabling drains the free list, so
+// a disabled pool holds no memory, regions hand out fresh tensors, and every
+// borrower allocates.
+func (p *ChunkPool) SetEnabled(on bool) {
+	p.off.Store(!on)
 	if !on {
-		a.Drain()
+		p.mu.Lock()
+		clear(p.free)
+		p.free = p.free[:0]
+		p.mu.Unlock()
 	}
 }
 
-// Enabled reports whether pooling is active.
-func (a *Arena) Enabled() bool { return a.enabled.Load() }
+// Default is the process-wide chunk pool. Pooling is on by default;
+// SetPooling(false) reverts every hot loop to fresh allocations (the
+// equivalence tests and benchmarks compare both modes).
+var Default = &ChunkPool{}
 
-// Drain empties every free list, releasing pooled memory to the garbage
-// collector. Counters are preserved.
-func (a *Arena) Drain() {
-	for i := range a.buckets {
-		b := &a.buckets[i]
-		b.mu.Lock()
-		for j := range b.free {
-			b.free[j] = nil
-		}
-		b.free = b.free[:0]
-		b.mu.Unlock()
-	}
-}
-
-// Default is the process-wide arena used by the autodiff graph allocator.
-// Pooling is on by default; SetPooling(false) reverts every hot loop to
-// fresh allocations (the benchmarks compare both modes).
-var Default = NewArena()
-
-// Get returns a zeroed tensor of the given shape from the default arena.
-func Get(shape ...int) *Tensor { return Default.get(shape) }
-
-// GetLike returns a zeroed tensor shaped like t from the default arena.
-func GetLike(t *Tensor) *Tensor { return Default.get(t.shape) }
-
-// Put returns a tensor to the default arena. See Arena.Put for the ownership
-// contract.
-func Put(t *Tensor) { Default.Put(t) }
-
-// SetPooling toggles the default arena.
+// SetPooling toggles the default pool.
 func SetPooling(on bool) { Default.SetEnabled(on) }
 
-// PoolingEnabled reports whether the default arena is pooling.
-func PoolingEnabled() bool { return Default.Enabled() }
+// PoolingEnabled reports whether the default pool is pooling.
+func PoolingEnabled() bool { return !Default.off.Load() }

@@ -2,141 +2,160 @@ package tensor
 
 import (
 	"math/rand"
-	"sync"
+	"runtime"
 	"testing"
+
+	"ovs/internal/parallel"
 )
 
-// TestArenaReuseHitAndZero checks the arena's core contract: a Put buffer is
-// served to the next covering Get, fully zeroed, with the requested shape.
+// TestArenaReuseHitAndZero checks the allocation counters and the reuse
+// contract: a region's second identical pass is served from memory it
+// already holds (hits only, no new chunk), fully zeroed, with the requested
+// shapes.
 func TestArenaReuseHitAndZero(t *testing.T) {
-	a := NewArena()
-	x := a.Get(3, 5)
-	for i := range x.Data {
-		x.Data[i] = float64(i) + 1 // dirty it
-	}
+	var r Region
+	defer r.Release()
+	before := Default.Stats()
+	x := r.Alloc(3, 5)
+	dirty(x, 7)
 	data := &x.Data[0]
-	a.Put(x)
+	r.Reset()
+	mid := Default.Stats()
+	if mid.Hits-before.Hits != 0 || mid.Misses-before.Misses != 1 {
+		t.Fatalf("first pass counted %d hits, %d misses; want 0, 1", mid.Hits-before.Hits, mid.Misses-before.Misses)
+	}
 
-	y := a.Get(15) // same size class, different rank
+	y := r.Alloc(15) // same footprint, different rank
 	if &y.Data[0] != data {
-		t.Fatal("Get after Put did not reuse the pooled buffer")
+		t.Fatal("carve after Reset did not reuse the region's chunk")
 	}
 	if y.Rank() != 1 || y.Dim(0) != 15 {
 		t.Fatalf("reused tensor has shape %v, want [15]", y.Shape())
 	}
 	for i, v := range y.Data {
 		if v != 0 {
-			t.Fatalf("reused buffer not zeroed at %d: %v", i, v)
+			t.Fatalf("reused memory not zeroed at %d: %v", i, v)
 		}
 	}
-	st := a.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Puts != 1 {
-		t.Fatalf("stats = %+v, want 1 hit, 1 miss, 1 put", st)
+	r.Reset()
+	after := Default.Stats()
+	if after.Hits-mid.Hits != 1 || after.Misses-mid.Misses != 0 {
+		t.Fatalf("second pass counted %d hits, %d misses; want 1, 0", after.Hits-mid.Hits, after.Misses-mid.Misses)
 	}
 }
 
-// TestArenaClassCoverage checks the bucketing invariant: a buffer returned to
-// the pool is only handed to requests its capacity can satisfy.
+// TestArenaClassCoverage checks the pool's best-fit invariant: a pooled
+// chunk serves only requests it covers, and never one less than half its
+// size, so a small borrower cannot pin a large chunk.
 func TestArenaClassCoverage(t *testing.T) {
-	a := NewArena()
-	small := a.Get(3) // class 2, cap 4
-	a.Put(small)
-	big := a.Get(100) // class 7: must miss, not reuse the small buffer
-	if len(big.Data) != 100 {
-		t.Fatalf("len = %d, want 100", len(big.Data))
+	p := &ChunkPool{}
+	small := p.take(100)
+	small[0] = 1
+	p.put(small)
+	if big := p.take(300); cap(big) < 300 || &big[0] == &small[0] {
+		t.Fatal("a chunk was handed to a request it does not cover")
 	}
-	st := a.Stats()
-	if st.Hits != 0 || st.Misses != 2 {
-		t.Fatalf("stats = %+v, want 0 hits, 2 misses", st)
+	tiny := p.take(10) // covered, but would waste 90% of the chunk
+	if &tiny[0] == &small[0] {
+		t.Fatal("a chunk was handed to a request under half its size")
 	}
-	// A smaller request within the same class is served by the big buffer.
-	a.Put(big)
-	again := a.Get(70)
-	if st := a.Stats(); st.Hits != 1 {
-		t.Fatalf("stats = %+v, want a hit for the covered request", st)
+	got := p.take(70)
+	if &got[0] != &small[0] || len(got) != 70 {
+		t.Fatal("a covering request within twice the chunk size missed the pooled chunk")
 	}
-	if len(again.Data) != 70 {
-		t.Fatalf("len = %d, want 70", len(again.Data))
+
+	// Best fit: of two covering chunks the smaller one is served.
+	a, b := p.take(64), p.take(80)
+	p.put(b)
+	p.put(a)
+	if c := p.take(60); &c[0] != &a[0] {
+		t.Fatal("take did not pick the smallest covering chunk")
 	}
 }
 
-// TestArenaDisabled checks that a disabled arena degrades to plain
-// allocation: Gets allocate, Puts discard, and the free lists drain.
+// TestArenaDisabled checks that disabled pooling degrades to plain
+// allocation: regions hand out fresh tensors without chunks or counts, puts
+// are discarded, and the free list drains.
 func TestArenaDisabled(t *testing.T) {
-	a := NewArena()
-	a.Put(a.Get(8))
-	a.SetEnabled(false)
-	x := a.Get(8)
-	if st := a.Stats(); st.Hits != 0 {
-		t.Fatalf("disabled arena served a pooled buffer: %+v", st)
+	p := &ChunkPool{}
+	p.put(p.take(8))
+	p.SetEnabled(false)
+	if n := len(p.free); n != 0 {
+		t.Fatalf("disabling left %d pooled chunks", n)
 	}
-	a.Put(x)
-	if st := a.Stats(); st.Discards != 1 {
-		t.Fatalf("disabled arena accepted a Put: %+v", st)
+	p.put(p.take(8))
+	if st := p.Stats(); st.Discards != 1 {
+		t.Fatalf("disabled pool accepted a chunk: %+v", st)
 	}
-	a.SetEnabled(true)
-	a.Get(8)
-	// The pre-disable buffer was drained, so this Get must miss.
-	if st := a.Stats(); st.Hits != 0 {
-		t.Fatalf("drained arena served a stale buffer: %+v", st)
+
+	restore := PoolingEnabled()
+	defer SetPooling(restore)
+	SetPooling(false)
+	var r Region
+	before := Default.Stats()
+	x := r.Alloc(4, 2)
+	if len(r.data.blocks) != 0 {
+		t.Fatal("a region took a chunk with pooling disabled")
+	}
+	if cap(x.Data) != 8 || x.Dim(0) != 4 || x.Dim(1) != 2 {
+		t.Fatalf("fresh tensor has shape %v, cap %d", x.Shape(), cap(x.Data))
+	}
+	r.Reset()
+	if st := Default.Stats(); st.Hits != before.Hits || st.Misses != before.Misses {
+		t.Fatal("fresh allocations were counted as carves")
 	}
 }
 
-// TestArenaConcurrentStress hammers one arena from many goroutines with
-// mixed shapes, verifying under the race detector that the free lists are
-// safe and that no two live tensors ever share a backing array. Each worker
-// writes a unique tag into its tensors and checks the tag is intact before
-// Put — aliasing between concurrent owners would trip it.
+// TestArenaConcurrentStress runs many regions at once against the shared
+// chunk pool, at every worker count, verifying under the race detector that
+// the pool is safe and that no two live tensors ever share memory. Each
+// region tags its tensors and checks the tags are intact before rewinding —
+// a chunk handed to two regions would trip it.
 func TestArenaConcurrentStress(t *testing.T) {
-	a := NewArena()
-	const workers = 8
-	const iters = 400
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		//ovslint:ignore nakedgo the stress test needs unsynchronized goroutines; parallel's deterministic chunking would serialize the contention under test
-		go func(tag float64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(tag)))
-			live := make([]*Tensor, 0, 8)
-			for i := 0; i < iters; i++ {
-				switch {
-				case len(live) > 4 || (len(live) > 0 && rng.Intn(2) == 0):
-					k := rng.Intn(len(live))
-					x := live[k]
-					for j := range x.Data {
-						if x.Data[j] != tag {
-							t.Errorf("tensor corrupted: got %v, want tag %v", x.Data[j], tag)
-							return
+	const regions, passes = 16, 6
+	for _, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+		parallel.ForWorkers(w, regions, 1, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				tag := float64(i + 1)
+				rng := rand.New(rand.NewSource(int64(i)))
+				var r Region
+				for pass := 0; pass < passes; pass++ {
+					var live []*Tensor
+					for k := 0; k < 40; k++ {
+						var x *Tensor
+						switch rng.Intn(3) {
+						case 0:
+							x = r.Alloc(1 + rng.Intn(64))
+						case 1:
+							x = r.Alloc(1+rng.Intn(8), 1+rng.Intn(8))
+						default:
+							x = r.Alloc(1 + rng.Intn(3*minChunk)) // forces growth
+						}
+						for j, v := range x.Data {
+							if v != 0 {
+								t.Errorf("carve returned dirty memory at %d: %v", j, v)
+								return
+							}
+							x.Data[j] = tag
+						}
+						live = append(live, x)
+					}
+					for _, x := range live {
+						for _, v := range x.Data {
+							if v != tag {
+								t.Errorf("tensor corrupted: got %v, want tag %v", v, tag)
+								return
+							}
 						}
 					}
-					live = append(live[:k], live[k+1:]...)
-					a.Put(x)
-				default:
-					var x *Tensor
-					if rng.Intn(2) == 0 {
-						x = a.Get(1 + rng.Intn(64))
+					if pass%2 == 0 {
+						r.Reset()
 					} else {
-						x = a.Get(1+rng.Intn(8), 1+rng.Intn(8))
+						r.Release()
 					}
-					for j, v := range x.Data {
-						if v != 0 {
-							t.Errorf("Get returned dirty buffer at %d: %v", j, v)
-							return
-						}
-						x.Data[j] = tag
-					}
-					live = append(live, x)
 				}
+				r.Release()
 			}
-			for _, x := range live {
-				a.Put(x)
-			}
-		}(float64(w + 1))
-	}
-	wg.Wait()
-	st := a.Stats()
-	if st.Hits+st.Misses == 0 {
-		t.Fatal("stress test recorded no arena traffic")
+		})
 	}
 }

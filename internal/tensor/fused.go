@@ -9,7 +9,7 @@ import (
 
 // This file holds the fused and destination-passing kernels of the
 // zero-allocation training path. The *To kernels write into a caller-provided
-// output (typically an arena tensor), the *Acc kernels accumulate a backward
+// output (typically a tensor carved from a tape region), the *Acc kernels accumulate a backward
 // rule directly into a gradient without materializing intermediates, and the
 // *InPlace kernels fuse optimizer updates. Every kernel partitions work over
 // output indices with the per-index computation fixed, so results are

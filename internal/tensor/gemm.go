@@ -17,7 +17,7 @@ import (
 //   - B is packed into column micro-panels of width gemmNR and A into row
 //     micro-panels of height gemmMR, both laid out so the micro-kernel walks
 //     them with unit stride. Panels are sized to the cache blocking
-//     parameters (gemmKC, gemmNC, gemmMC) and drawn from the tensor arena, so
+//     parameters (gemmKC, gemmNC, gemmMC) and borrowed from the chunk pool, so
 //     a steady-state GEMM allocates nothing.
 //   - The micro-kernel holds a gemmMR×gemmNR accumulator tile in registers
 //     and advances along the packed K panel with one fused multiply-add per
@@ -62,6 +62,9 @@ const (
 	// consumes an A panel of gemmMC×gemmKC ≤ 64 KiB. It is also the unit of
 	// the deterministic 2D decomposition: chunk boundaries depend only on m.
 	gemmMC = 32
+	// accBlock is the column width of the stack block the small accumulate
+	// kernels (gemmNaiveAsm, OuterAccFMA) compute each bare row sum into.
+	accBlock = 128
 )
 
 // gemmBlockedMin is the m·n·k threshold below which gemm runs the serial
@@ -95,7 +98,7 @@ type gemmView struct {
 // gemm computes dst (+)= A·B where A and B are logical m×k and k×n views and
 // dst is the row-major m×n output with leading dimension ldc. acc selects
 // accumulate (dst +=) over overwrite (dst =). The accumulate form computes
-// the product into a zeroed arena scratch block and folds it into dst with a
+// the product into a scratch chunk from the pool and folds it into dst with a
 // single add per element, preserving the "sum-then-one-add" association the
 // determinism argument above requires. bsrc, when non-nil, is the packable
 // tensor backing the B view; the blocked path then serves B panels from the
@@ -106,9 +109,8 @@ func gemm(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool, bsrc *Te
 		return
 	}
 	if acc {
-		scratch := Get(m * n) // Get zero-fills
-		gemmBlocked(scratch.Data, n, a, b, m, n, k, bsrc)
-		sd := scratch.Data
+		sd := Default.take(m * n)
+		gemmBlocked(sd, n, a, b, m, n, k, bsrc)
 		if ldc == n {
 			parallel.For(m*n, parMinWork, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
@@ -124,7 +126,7 @@ func gemm(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool, bsrc *Te
 				}
 			}
 		}
-		Put(scratch)
+		Default.put(sd)
 		return
 	}
 	gemmBlocked(dst, ldc, a, b, m, n, k, bsrc)
@@ -158,27 +160,26 @@ func gemmBlocked(dst []float64, ldc int, a, b gemmView, m, n, k int, bsrc *Tenso
 			// The first K panel starts its accumulators at zero; every later
 			// panel resumes from the value parked in dst.
 			load := pc > 0
-			var bbuf *Tensor
-			var bp []float64
+			var bbuf, bp []float64
 			if cached != nil {
-				bp = cached.buf.Data[jc*k+pc*ncPad:]
+				bp = cached.buf[jc*k+pc*ncPad:]
 			} else {
-				bbuf = Get(kc * ncPad)
-				packB(bbuf.Data, b, pc, jc, kc, nc)
-				bp = bbuf.Data
+				bbuf = Default.take(kc * ncPad)
+				packB(bbuf, b, pc, jc, kc, nc)
+				bp = bbuf
 			}
 			parallel.For(mBlocks, 1, func(lo, hi int) {
-				abuf := Get(gemmMC * kc)
+				abuf := Default.take(gemmMC * kc)
 				for blk := lo; blk < hi; blk++ {
 					i0 := blk * gemmMC
 					mc := min(gemmMC, m-i0)
-					packA(abuf.Data, a, i0, pc, mc, kc)
-					gemmMacro(dst, ldc, abuf.Data, bp, i0, jc, mc, nc, kc, load)
+					packA(abuf, a, i0, pc, mc, kc)
+					gemmMacro(dst, ldc, abuf, bp, i0, jc, mc, nc, kc, load)
 				}
-				Put(abuf)
+				Default.put(abuf)
 			})
 			if bbuf != nil {
-				Put(bbuf)
+				Default.put(bbuf)
 			}
 		}
 	}
@@ -386,18 +387,22 @@ func gemmNaiveAsm(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool) 
 			}
 			return
 		}
-		// Accumulate: the bare k-sum lands in a scratch row, then one add per
-		// element (the sum-then-one-add association, as everywhere).
-		scratch := Get(n)
-		row := scratch.Data
+		// Accumulate: the bare k-sum of each column block lands in a stack
+		// block, then one add per element (the sum-then-one-add
+		// association, as everywhere). Every element's FMA chain is
+		// independent of the blocking.
+		var blk [accBlock]float64
 		for i := 0; i < m; i++ {
-			gemmRowFMAAsm(&row[0], &a.data[i*a.rs], a.cs, &b.data[0], b.rs, k, n)
+			arow := &a.data[i*a.rs]
 			crow := dst[i*ldc : i*ldc+n]
-			for j, s := range row[:n] {
-				crow[j] += s
+			for j0 := 0; j0 < n; j0 += accBlock {
+				nb := min(accBlock, n-j0)
+				gemmRowFMAAsm(&blk[0], arow, a.cs, &b.data[j0], b.rs, k, nb)
+				for j, s := range blk[:nb] {
+					crow[j0+j] += s
+				}
 			}
 		}
-		Put(scratch)
 		return
 	}
 	// Strided output columns (MatMulNTAcc's NT orientation): one strided

@@ -24,10 +24,10 @@ import "sync"
 //     identical panel bytes a fresh pack would — results are bitwise-identical
 //     with the cache on, off, hit, or missed.
 //   - Entries pin while a GEMM is reading them: eviction and invalidation
-//     never return a buffer to the arena while any goroutine consumes it. The
+//     never return a buffer to the pool while any goroutine consumes it. The
 //     releasing reader returns the buffer of an entry that died while pinned.
 //   - The cache is byte-capped with least-recently-used eviction; evicted and
-//     invalidated buffers go back to the tensor arena (they were drawn from
+//     invalidated buffers go back to the chunk pool (they were drawn from
 //     it), so cache churn recycles instead of allocating.
 //
 // Concurrency: one mutex guards the map, the byte budget, and every entry's
@@ -68,7 +68,7 @@ type packKey struct {
 type packEntry struct {
 	version uint64
 	k, n    int
-	buf     *Tensor
+	buf     []float64
 	pins    int
 	dead    bool
 	lastUse uint64
@@ -152,38 +152,38 @@ func acquirePack(t *Tensor, b gemmView, k, n int) *packEntry {
 		c.dropLocked(key, e)
 	}
 	c.misses++
-	e := &packEntry{version: t.version, k: k, n: n, buf: Get(size), pins: 1}
+	e := &packEntry{version: t.version, k: k, n: n, buf: Default.take(size), pins: 1}
 	c.clock++
 	e.lastUse = c.clock
 	c.entries[key] = e
 	c.bytes += bytes
 	c.evictLocked()
-	packWholeB(e.buf.Data, b, k, n)
+	packWholeB(e.buf, b, k, n)
 	c.mu.Unlock()
 	return e
 }
 
 // releasePack unpins an entry acquired by acquirePack, returning its buffer
-// to the arena if the entry died (was evicted or invalidated) while pinned.
+// to the pool if the entry died (was evicted or invalidated) while pinned.
 func releasePack(e *packEntry) {
 	c := &packs
 	c.mu.Lock()
 	e.pins--
 	if e.dead && e.pins == 0 {
-		Put(e.buf)
+		Default.put(e.buf)
 		e.buf = nil
 	}
 	c.mu.Unlock()
 }
 
 // dropLocked removes an entry from the map and byte budget. The buffer
-// returns to the arena immediately when unpinned; a pinned entry is marked
+// returns to the pool immediately when unpinned; a pinned entry is marked
 // dead and the last releasePack returns it.
 func (c *packCacheState) dropLocked(key packKey, e *packEntry) {
 	delete(c.entries, key)
 	c.bytes -= int64(packedCols(e.n)*e.k) * 8
 	if e.pins == 0 {
-		Put(e.buf)
+		Default.put(e.buf)
 		e.buf = nil
 	} else {
 		e.dead = true
@@ -215,7 +215,7 @@ func (c *packCacheState) evictLocked() {
 
 // SetPackCaching switches the pack cache on or off. Disabling drops every
 // entry (pinned ones drain through their readers), so a disabled cache holds
-// no arena memory. Results are identical either way; only repack work changes.
+// no pooled memory. Results are identical either way; only repack work changes.
 func SetPackCaching(on bool) {
 	c := &packs
 	c.mu.Lock()

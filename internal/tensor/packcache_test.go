@@ -207,27 +207,50 @@ func TestPackCacheOversizeBypass(t *testing.T) {
 	})
 }
 
-// TestPackCachePoolRecycleClearsPackable: returning a marked tensor to the
-// arena must strip its packable status and move its version, so a recycled
-// buffer can never satisfy a stale cache probe by pointer coincidence.
+// TestPackCachePoolRecycleClearsPackable: a region header marked packable
+// and cached in a previous pass must come back unmarked with a moved version
+// after Reset, so its reuse can never satisfy the stale cache entry by
+// pointer coincidence — not even after it is marked packable again.
 func TestPackCachePoolRecycleClearsPackable(t *testing.T) {
-	old := PoolingEnabled()
-	SetPooling(true)
-	defer SetPooling(old)
-	tt := Get(16, 16)
-	tt.MarkPackable()
-	v := tt.Version()
-	Put(tt)
-	got := Get(16, 16)
-	// Whether or not the arena hands back the same allocation, any tensor
-	// that went through reinit must be unmarked.
-	if got.Packable() {
-		t.Fatalf("recycled tensor still packable")
-	}
-	if got == tt && got.Version() == v {
-		t.Fatalf("recycled tensor kept its version")
-	}
-	Put(got)
+	rng := rand.New(rand.NewSource(76))
+	withCleanPackCache(t, func() {
+		forceBlocked(t, func() {
+			var r Region
+			defer r.Release()
+			a := Randn(rng, 1, 4, 16)
+			w := r.Alloc(16, 16)
+			for i := range w.Data {
+				w.Data[i] = rng.NormFloat64()
+			}
+			w.MarkPackable()
+			MatMul(a, w) // caches w's packed panels under (w, version)
+			v := w.Version()
+			r.Reset()
+
+			got := r.Alloc(16, 16)
+			if got != w {
+				t.Fatal("Reset did not reuse the header")
+			}
+			if got.Packable() {
+				t.Fatal("reused header still packable")
+			}
+			if got.Version() == v {
+				t.Fatal("reused header kept its version")
+			}
+			for i := range got.Data {
+				got.Data[i] = rng.NormFloat64()
+			}
+			got.MarkPackable()
+			want := func() *Tensor {
+				SetPackCaching(false)
+				defer SetPackCaching(true)
+				return MatMul(a, got)
+			}()
+			if !AllClose(MatMul(a, got), want, 0) {
+				t.Fatal("reused header was served the stale cached pack")
+			}
+		})
+	})
 }
 
 // TestPackCacheParallelStress hammers a shared packable weight from many

@@ -79,20 +79,21 @@ func MatVecNTAcc(dst, g, b []float64, n, k int) {
 func OuterAccFMA(dst, x, y []float64, m, n int) {
 	_ = dst[m*n-1]
 	if gemmHasAsm {
-		// One k=1 row-kernel call per output row: the asm zero-initializes
-		// the scratch row to the bare FMA(x_i, y_j, 0) products, and the add
-		// folds them in — the same scratch-then-one-add sequence
-		// gemmNaiveAsm's accumulate path performs.
-		scratch := Get(n)
-		row := scratch.Data
+		// One k=1 row-kernel call per output column block: the asm
+		// zero-initializes the stack block to the bare FMA(x_i, y_j, 0)
+		// products, and the add folds them in — the same block-then-one-add
+		// sequence gemmNaiveAsm's accumulate path performs.
+		var blk [accBlock]float64
 		for i := 0; i < m; i++ {
-			gemmRowFMAAsm(&row[0], &x[i], 1, &y[0], n, 1, n)
 			drow := dst[i*n : i*n+n]
-			for j, s := range row[:n] {
-				drow[j] += s
+			for j0 := 0; j0 < n; j0 += accBlock {
+				nb := min(accBlock, n-j0)
+				gemmRowFMAAsm(&blk[0], &x[i], 1, &y[j0], n, 1, nb)
+				for j, s := range blk[:nb] {
+					drow[j0+j] += s
+				}
 			}
 		}
-		Put(scratch)
 		return
 	}
 	for i := 0; i < m; i++ {
