@@ -181,7 +181,7 @@ func BenchmarkSimulatorMeso(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := sim.New(city.Net, sim.Config{Intervals: 6, IntervalSec: 300, Seed: int64(i)})
-		if _, err := s.Run(sim.Demand{ODs: city.ODs, G: g}); err != nil {
+		if _, err := s.RunCtx(context.Background(), sim.Demand{ODs: city.ODs, G: g}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -201,7 +201,7 @@ func BenchmarkSimulatorMesoDynamic(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := sim.New(city.Net, sim.Config{Intervals: 6, IntervalSec: 300, Seed: int64(i),
 			Routing: sim.DynamicRouting})
-		res, err := s.Run(sim.Demand{ODs: city.ODs, G: g})
+		res, err := s.RunCtx(context.Background(), sim.Demand{ODs: city.ODs, G: g})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -219,7 +219,7 @@ func BenchmarkSimulatorMicro(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := sim.New(city.Net, sim.Config{Intervals: 6, IntervalSec: 300, Seed: int64(i), Engine: sim.Micro})
-		if _, err := s.Run(sim.Demand{ODs: city.ODs, G: g}); err != nil {
+		if _, err := s.RunCtx(context.Background(), sim.Demand{ODs: city.ODs, G: g}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -275,7 +275,7 @@ func BenchmarkFitEpoch(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := model.Fit(speed, 1, nil); err != nil {
+				if _, _, err := model.FitCtx(context.Background(), speed, 1, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -460,7 +460,7 @@ func BenchmarkLintRepo(b *testing.B) {
 			b.Fatal(err)
 		}
 		d := &lint.Driver{Loader: loader, Analyzers: lint.All()}
-		res, err := d.Run()
+		res, err := d.RunCtx(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}

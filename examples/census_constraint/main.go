@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -17,6 +18,8 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
+
 	const (
 		seed      = 13
 		intervals = 6
@@ -30,7 +33,7 @@ func main() {
 	hidden := ovs.GenerateTOD(ovs.PatternGaussian, ovs.TODConfig{
 		Pairs: city.NumPairs(), Intervals: intervals, IntervalMinutes: 5, Scale: 0.7,
 	}, rng)
-	obs, err := simulator.Run(ovs.Demand{ODs: city.ODs, G: hidden})
+	obs, err := simulator.RunCtx(ctx, ovs.Demand{ODs: city.ODs, G: hidden})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,7 +49,7 @@ func main() {
 			Pairs: city.NumPairs(), Intervals: intervals,
 			IntervalMinutes: 5, Scale: 0.2 + 0.15*float64(i),
 		}, rng)
-		res, err := simulator.Run(ovs.Demand{ODs: city.ODs, G: g})
+		res, err := simulator.RunCtx(ctx, ovs.Demand{ODs: city.ODs, G: g})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -82,7 +85,7 @@ func main() {
 
 	run := func(aux *ovs.AuxData) *ovs.Tensor {
 		m := build()
-		rec, err := m.TrainFull(samples, obs.Speed, 15, 12, 100, aux)
+		rec, err := m.TrainFullCtx(ctx, samples, obs.Speed, 15, 12, 100, aux)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -8,14 +8,21 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
+	"os"
+	"os/signal"
 
 	"ovs"
 )
 
 func main() {
+	// Ctrl-C cancels the run at the next simulator interval or epoch boundary.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+
 	const seed = 3
 	cs, err := ovs.CaseStudy2(2.0, seed)
 	if err != nil {
@@ -30,7 +37,7 @@ func main() {
 	simulator := ovs.NewSimulator(city.Net, ovs.SimConfig{
 		Intervals: cs.Intervals, IntervalSec: 300, Seed: seed,
 	})
-	obs, err := simulator.Run(ovs.Demand{ODs: city.ODs, G: cs.G})
+	obs, err := simulator.RunCtx(ctx, ovs.Demand{ODs: city.ODs, G: cs.G})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,7 +52,7 @@ func main() {
 			Pairs: city.NumPairs(), Intervals: cs.Intervals,
 			IntervalMinutes: 5, Scale: 0.2 + 0.2*float64(i),
 		}, rng)
-		res, err := simulator.Run(ovs.Demand{ODs: city.ODs, G: g})
+		res, err := simulator.RunCtx(ctx, ovs.Demand{ODs: city.ODs, G: g})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -78,7 +85,7 @@ func main() {
 	cfg.VolumeNorm = maxVol / 4
 	cfg.VolumeLossWeight = 3
 	model := ovs.NewModel(topo, cfg)
-	recovered, err := model.TrainFull(samples, obs.Speed, 20, 15, 200, nil)
+	recovered, err := model.TrainFullCtx(ctx, samples, obs.Speed, 20, 15, 200, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,15 +8,22 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
+	"os"
+	"os/signal"
 	"strings"
 
 	"ovs"
 )
 
 func main() {
+	// Ctrl-C cancels the run at the next simulator interval or epoch boundary.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+
 	const seed = 5
 	cs, err := ovs.CaseStudy1(2.0, seed)
 	if err != nil {
@@ -29,7 +36,7 @@ func main() {
 	simulator := ovs.NewSimulator(city.Net, ovs.SimConfig{
 		Intervals: cs.Intervals, IntervalSec: 300, Seed: seed,
 	})
-	obs, err := simulator.Run(ovs.Demand{ODs: city.ODs, G: cs.G})
+	obs, err := simulator.RunCtx(ctx, ovs.Demand{ODs: city.ODs, G: cs.G})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,7 +50,7 @@ func main() {
 			Pairs: city.NumPairs(), Intervals: cs.Intervals,
 			IntervalMinutes: 5, Scale: 0.2 + 0.2*float64(i),
 		}, rng)
-		res, err := simulator.Run(ovs.Demand{ODs: city.ODs, G: g})
+		res, err := simulator.RunCtx(ctx, ovs.Demand{ODs: city.ODs, G: g})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -91,7 +98,7 @@ func main() {
 	}
 	aux := &ovs.AuxData{TrajODIdx: trajIdx, TrajG: trajG, TrajWeight: 8}
 
-	recovered, err := model.TrainFull(samples, obs.Speed, 25, 20, 400, aux)
+	recovered, err := model.TrainFullCtx(ctx, samples, obs.Speed, 25, 20, 400, aux)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -13,6 +14,8 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
+
 	const (
 		intervals   = 6   // T: observation intervals
 		intervalSec = 300 // 5-minute intervals
@@ -39,7 +42,7 @@ func main() {
 			Pairs: city.NumPairs(), Intervals: intervals,
 			IntervalMinutes: intervalSec / 60, Scale: 0.8,
 		}, rng)
-		res, err := simulator.Run(ovs.Demand{ODs: city.ODs, G: g})
+		res, err := simulator.RunCtx(ctx, ovs.Demand{ODs: city.ODs, G: g})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -54,7 +57,7 @@ func main() {
 		Pairs: city.NumPairs(), Intervals: intervals,
 		IntervalMinutes: intervalSec / 60, Scale: 0.6,
 	}, rng)
-	obs, err := simulator.Run(ovs.Demand{ODs: city.ODs, G: hidden})
+	obs, err := simulator.RunCtx(ctx, ovs.Demand{ODs: city.ODs, G: hidden})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -83,7 +86,7 @@ func main() {
 	cfg.InitTripLevel = meanG / float64(len(samples)) / cfg.MaxTrips
 	model := ovs.NewModel(topo, cfg)
 
-	recovered, err := model.TrainFull(samples, obs.Speed, 15, 12, 80, nil)
+	recovered, err := model.TrainFullCtx(ctx, samples, obs.Speed, 15, 12, 80, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -91,7 +94,7 @@ func main() {
 	// 5. Score the recovery with the paper's metric and verify it by pushing
 	// the recovered TOD back through the simulator.
 	fmt.Printf("RMSE(recovered TOD, hidden TOD) = %.2f trips\n", ovs.TensorRMSE(recovered, hidden))
-	check, err := simulator.Run(ovs.Demand{ODs: city.ODs, G: recovered})
+	check, err := simulator.RunCtx(ctx, ovs.Demand{ODs: city.ODs, G: recovered})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -17,6 +18,8 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
+
 	const (
 		seed      = 11
 		intervals = 6
@@ -43,11 +46,11 @@ func main() {
 	hidden := ovs.GenerateTOD(ovs.PatternGaussian, ovs.TODConfig{
 		Pairs: city.NumPairs(), Intervals: intervals, IntervalMinutes: 5, Scale: 0.7,
 	}, rng)
-	obs1, err := regular.Run(ovs.Demand{ODs: city.ODs, G: hidden})
+	obs1, err := regular.RunCtx(ctx, ovs.Demand{ODs: city.ODs, G: hidden})
 	if err != nil {
 		log.Fatal(err)
 	}
-	obs2, err := roadwork.Run(ovs.Demand{ODs: city.ODs, G: hidden})
+	obs2, err := roadwork.RunCtx(ctx, ovs.Demand{ODs: city.ODs, G: hidden})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,7 +65,7 @@ func main() {
 			Pairs: city.NumPairs(), Intervals: intervals,
 			IntervalMinutes: 5, Scale: 0.2 + 0.15*float64(i),
 		}, rng)
-		res, err := regular.Run(ovs.Demand{ODs: city.ODs, G: g})
+		res, err := regular.RunCtx(ctx, ovs.Demand{ODs: city.ODs, G: g})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -92,19 +95,19 @@ func main() {
 	cfg.InitTripLevel = meanG / float64(len(samples)) / cfg.MaxTrips
 	cfg.VolumeNorm = maxVol / 4
 	model := ovs.NewModel(topo, cfg)
-	if _, err := model.TrainV2S(samples, 15); err != nil {
+	if _, err := model.TrainV2SCtx(ctx, samples, 15); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := model.TrainT2V(samples, 12); err != nil {
+	if _, err := model.TrainT2VCtx(ctx, samples, 12); err != nil {
 		log.Fatal(err)
 	}
 
 	// Fit the same trained mappings to each observation.
-	rec1, _, err := model.Fit(obs1.Speed, 100, nil)
+	rec1, _, err := model.FitCtx(ctx, obs1.Speed, 100, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rec2, _, err := model.Fit(obs2.Speed, 100, nil)
+	rec2, _, err := model.FitCtx(ctx, obs2.Speed, 100, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

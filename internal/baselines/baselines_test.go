@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -18,7 +19,7 @@ func buildContext(t *testing.T) (*Context, *tensor.Tensor) {
 	t.Helper()
 	city := dataset.SyntheticGrid(6, 21)
 	simulator := sim.New(city.Net, sim.Config{Intervals: 6, IntervalSec: 300, Seed: 3})
-	raw, err := dataset.Generate(simulator, city, dataset.GenerateOptions{
+	raw, err := dataset.GenerateCtx(context.Background(), simulator, city, dataset.GenerateOptions{
 		Count: 8,
 		TOD:   dataset.TODConfig{Intervals: 6, IntervalMinutes: 5, Scale: 0.6},
 		Seed:  4,
@@ -34,7 +35,7 @@ func buildContext(t *testing.T) (*Context, *tensor.Tensor) {
 			maxTrips = s.G.Max()
 		}
 	}
-	gt, err := dataset.GroundTruth(simulator, city, 0.4, 5)
+	gt, err := dataset.GroundTruthCtx(context.Background(), simulator, city, 0.4, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func buildContext(t *testing.T) (*Context, *tensor.Tensor) {
 		Samples:  samples,
 		SpeedObs: gt.Speed,
 		Simulate: func(g *tensor.Tensor) (*tensor.Tensor, error) {
-			res, err := sim.New(city.Net, simulator.Cfg).Run(sim.Demand{ODs: city.ODs, G: g})
+			res, err := sim.New(city.Net, simulator.Cfg).RunCtx(context.Background(), sim.Demand{ODs: city.ODs, G: g})
 			if err != nil {
 				return nil, err
 			}

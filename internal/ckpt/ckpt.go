@@ -70,7 +70,7 @@ type TensorState struct {
 // Restart records one completed restart of a multi-restart fit: the
 // generator's final state tensors and the restart's loss history. The fit's
 // winner selection is a pure function of these, so restoring them lets a
-// resumed FitBest skip straight to the unfinished restarts.
+// resumed Checkpointer.FitBest skip straight to the unfinished restarts.
 type Restart struct {
 	Index int           `json:"index"`
 	State []TensorState `json:"state"`

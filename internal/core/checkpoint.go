@@ -136,7 +136,7 @@ func (c *Checkpointer) restoreSnapshot(snap *ckpt.Snapshot) error {
 	return nil
 }
 
-// TrainMappings runs the two mapping stages (TrainV2S then TrainT2V) with
+// TrainMappings runs the two mapping stages (V2S then T2V) with
 // periodic checkpoints, resuming either stage mid-flight when a snapshot is
 // pending. It returns both loss curves.
 func (c *Checkpointer) TrainMappings(ctx context.Context, samples []Sample, v2sEpochs, t2vEpochs int) ([]float64, []float64, error) {
@@ -152,7 +152,7 @@ func (c *Checkpointer) TrainMappings(ctx context.Context, samples []Sample, v2sE
 	return v2s, t2v, err
 }
 
-// FitBest is the checkpointed Model.FitBest: single-start fits checkpoint
+// FitBest is the checkpointed Model.FitBestCtx: single-start fits checkpoint
 // per epoch, multi-restart fits per completed restart (a restart interrupted
 // mid-fit is discarded and refitted on resume from its recorded entry
 // state, so the outcome is unchanged).
@@ -227,7 +227,7 @@ type TrainResult struct {
 	FitHist []float64
 }
 
-// TrainFull is the checkpointed Model.TrainFull: both mapping stages, the
+// TrainFull is the checkpointed Model.TrainFullCtx: both mapping stages, the
 // (multi-restart) fit, and a terminal "done" checkpoint capturing the final
 // state. Resuming a completed run reproduces the same result without
 // retraining.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -213,7 +214,7 @@ func TestV2STrainingConverges(t *testing.T) {
 		}
 		samples = append(samples, Sample{Volume: vol, Speed: speed})
 	}
-	hist, err := m.TrainV2S(samples, 25)
+	hist, err := m.TrainV2SCtx(context.Background(), samples, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,10 +233,10 @@ func TestV2STrainingConverges(t *testing.T) {
 func TestTrainErrorsWithoutSamples(t *testing.T) {
 	topo := testTopo(t, 4, 1)
 	m := NewModel(topo, DefaultConfig())
-	if _, err := m.TrainV2S(nil, 1); err == nil {
+	if _, err := m.TrainV2SCtx(context.Background(), nil, 1); err == nil {
 		t.Fatal("TrainV2S with no samples did not error")
 	}
-	if _, err := m.TrainT2V(nil, 1); err == nil {
+	if _, err := m.TrainT2VCtx(context.Background(), nil, 1); err == nil {
 		t.Fatal("TrainT2V with no samples did not error")
 	}
 }
@@ -243,7 +244,7 @@ func TestTrainErrorsWithoutSamples(t *testing.T) {
 func TestFitValidatesShape(t *testing.T) {
 	topo := testTopo(t, 4, 1)
 	m := NewModel(topo, DefaultConfig())
-	if _, _, err := m.Fit(tensor.New(3, 3), 1, nil); err == nil {
+	if _, _, err := m.FitCtx(context.Background(), tensor.New(3, 3), 1, nil); err == nil {
 		t.Fatal("Fit with wrong observation shape did not error")
 	}
 }
@@ -256,7 +257,7 @@ func TestFitReducesSpeedLoss(t *testing.T) {
 	// Target: the speed the untrained chain produces for some hidden TOD.
 	hidden := tensor.Full(30, 4, 6)
 	_, speedObs := m.Forward(hidden)
-	_, hist, err := m.Fit(speedObs, 40, nil)
+	_, hist, err := m.FitCtx(context.Background(), speedObs, 40, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,12 +279,12 @@ func TestAuxCensusPullsDailySums(t *testing.T) {
 		census[i] = hidden.Row(i).Sum() // 120
 	}
 	aux := &AuxData{CensusSum: census, CensusWeight: 20}
-	recAux, _, err := m.Fit(speedObs, 60, aux)
+	recAux, _, err := m.FitCtx(context.Background(), speedObs, 60, aux)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m2 := NewModel(topo, cfg)
-	recPlain, _, err := m2.Fit(speedObs, 60, nil)
+	recPlain, _, err := m2.FitCtx(context.Background(), speedObs, 60, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +309,7 @@ func TestAuxLossValidation(t *testing.T) {
 		}
 	}()
 	//ovslint:ignore ignorederr the call is expected to panic before returning; results are unreachable
-	_, _, _ = m.Fit(speedObs, 1, &AuxData{CensusSum: []float64{1, 2}, CensusWeight: 1})
+	_, _, _ = m.FitCtx(context.Background(), speedObs, 1, &AuxData{CensusSum: []float64{1, 2}, CensusWeight: 1})
 }
 
 func TestAblationVariants(t *testing.T) {

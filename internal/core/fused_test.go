@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -29,7 +30,7 @@ func TestTrainFullFusedEquivalence(t *testing.T) {
 		cfg.Workers = workers
 		m := NewModel(topo, cfg)
 		obs := fitObs(m, 12)
-		rec, err := m.TrainFull(samples, obs, 2, 2, 2, nil)
+		rec, err := m.TrainFullCtx(context.Background(), samples, obs, 2, 2, 2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +61,7 @@ func TestFitBestFusedEquivalence(t *testing.T) {
 		cfg.Workers = 2
 		m := NewModel(topo, cfg)
 		obs := fitObs(m, 11)
-		rec, _, err := m.FitBest(obs, 2, 3, nil)
+		rec, _, err := m.FitBestCtx(context.Background(), obs, 2, 3, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

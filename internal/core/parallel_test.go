@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -29,7 +30,7 @@ func TestFitBestRestoresWinner(t *testing.T) {
 	m := NewModel(topo, cfg)
 	obs := fitObs(m, 12)
 
-	rec, hist, err := m.FitBest(obs, 2, 3, nil)
+	rec, hist, err := m.FitBestCtx(context.Background(), obs, 2, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestFitBestSelectsPureSpeedLoss(t *testing.T) {
 		states: []*tensor.Tensor{b},
 		dummy:  autodiff.NewParameter("canned.dummy", tensor.New(1)),
 	}
-	rec, _, err := m.FitBest(obs, 0, 2, nil)
+	rec, _, err := m.FitBestCtx(context.Background(), obs, 0, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestModuleWorkerEquivalence(t *testing.T) {
 	refVol := ref.PredictVolume(tod)
 	refSpeed := ref.PredictSpeed(refVol)
 	obs := fitObs(ref, 10)
-	refRec, refHist, err := ref.Fit(obs, 3, nil)
+	refRec, refHist, err := ref.FitCtx(context.Background(), obs, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestModuleWorkerEquivalence(t *testing.T) {
 		if !tensor.AllClose(m.PredictSpeed(refVol), refSpeed, 0) {
 			t.Fatalf("workers=%d: MapSpeed differs from workers=1", w)
 		}
-		rec, hist, err := m.Fit(obs, 3, nil)
+		rec, hist, err := m.FitCtx(context.Background(), obs, 3, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +163,7 @@ func TestFitBestWorkerEquivalence(t *testing.T) {
 		cfg.Workers = workers
 		m := NewModel(topo, cfg)
 		obs := fitObs(m, 12)
-		rec, _, err := m.FitBest(obs, 2, 3, nil)
+		rec, _, err := m.FitBestCtx(context.Background(), obs, 2, 3, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -52,7 +53,7 @@ func TestTrainFullPoolingEquivalence(t *testing.T) {
 		cfg.Workers = workers
 		m := NewModel(topo, cfg)
 		obs := fitObs(m, 12)
-		rec, err := m.TrainFull(samples, obs, 2, 2, 2, nil)
+		rec, err := m.TrainFullCtx(context.Background(), samples, obs, 2, 2, 2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +87,7 @@ func TestFitBestPoolingEquivalence(t *testing.T) {
 		cfg.Workers = workers
 		m := NewModel(topo, cfg)
 		obs := fitObs(m, 12)
-		rec, _, err := m.FitBest(obs, 2, 3, nil)
+		rec, _, err := m.FitBestCtx(context.Background(), obs, 2, 3, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,28 +19,25 @@ import (
 // ErrInterrupted) propagates to the caller with the partial history.
 type stageHook func(done int, hist []float64, opt nn.StatefulOptimizer) error
 
-// TrainV2S runs stage 1 of the Fig. 8 pipeline: fit the Volume-Speed
+// TrainV2SCtx runs stage 1 of the Fig. 8 pipeline: fit the Volume-Speed
 // mapping on generated (volume, speed) pairs. It returns the per-epoch mean
 // loss curve.
-func (m *Model) TrainV2S(samples []Sample, epochs int) ([]float64, error) {
-	return m.TrainV2SCtx(context.Background(), samples, epochs)
-}
-
-// TrainV2SCtx is TrainV2S with cooperative cancellation: ctx is observed
-// only at epoch boundaries, so the epochs completed before a cancelled
-// return are bitwise-identical to an uncancelled run's prefix. A cancelled
-// call returns the partial history with the context's cancellation cause.
+//
+// ctx is observed only at epoch boundaries, so the epochs completed before a
+// cancelled return are bitwise-identical to an uncancelled run's prefix. A
+// cancelled call returns the partial history with the context's cancellation
+// cause.
 func (m *Model) TrainV2SCtx(ctx context.Context, samples []Sample, epochs int) ([]float64, error) {
 	return m.trainV2S(ctx, samples, epochs, 0, nil, nn.NewAdam(m.Cfg.LR), nil)
 }
 
-// trainV2S is the resumable core of TrainV2S: it continues from start
+// trainV2S is the resumable core of TrainV2SCtx: it continues from start
 // completed epochs with the given optimizer and accumulated history.
 // Cancellation is observed after the per-epoch hook, so a checkpointing hook
 // gets to convert it into a durable checkpoint + ErrInterrupted first.
 func (m *Model) trainV2S(ctx context.Context, samples []Sample, epochs, start int, hist []float64, opt *nn.Adam, hook stageHook) ([]float64, error) {
 	if len(samples) == 0 {
-		return nil, fmt.Errorf("core: TrainV2S requires samples")
+		return nil, fmt.Errorf("core: V2S training requires samples")
 	}
 	params := m.V2S.Params()
 	history := hist
@@ -75,24 +72,19 @@ func (m *Model) trainV2S(ctx context.Context, samples []Sample, epochs, start in
 	return history, nil
 }
 
-// TrainT2V runs stage 2: freeze Volume-Speed, fit TOD-Volume by passing
+// TrainT2VCtx runs stage 2: freeze Volume-Speed, fit TOD-Volume by passing
 // generated TOD through both mappings and comparing against the generated
 // speed (plus optional direct volume supervision weighted by
 // Cfg.VolumeLossWeight; the paper's protocol corresponds to weight 0).
-func (m *Model) TrainT2V(samples []Sample, epochs int) ([]float64, error) {
-	return m.TrainT2VCtx(context.Background(), samples, epochs)
-}
-
-// TrainT2VCtx is TrainT2V with cooperative cancellation at epoch boundaries
-// (see TrainV2SCtx).
+// Cancellation is observed at epoch boundaries (see TrainV2SCtx).
 func (m *Model) TrainT2VCtx(ctx context.Context, samples []Sample, epochs int) ([]float64, error) {
 	return m.trainT2V(ctx, samples, epochs, 0, nil, nn.NewAdam(m.Cfg.LR), nil)
 }
 
-// trainT2V is the resumable core of TrainT2V (see trainV2S).
+// trainT2V is the resumable core of TrainT2VCtx (see trainV2S).
 func (m *Model) trainT2V(ctx context.Context, samples []Sample, epochs, start int, hist []float64, opt *nn.Adam, hook stageHook) ([]float64, error) {
 	if len(samples) == 0 {
-		return nil, fmt.Errorf("core: TrainT2V requires samples")
+		return nil, fmt.Errorf("core: T2V training requires samples")
 	}
 	// Volume-Speed is frozen for the whole stage: its parameters are read
 	// concurrently by parallel graph construction and must not accumulate
@@ -166,15 +158,10 @@ type AuxData struct {
 	LinkWeights []float64
 }
 
-// Fit runs the test stage: freeze TOD-Volume and Volume-Speed, optimize the
-// TOD generator so the end-to-end speed matches the observation (Eq. 12),
+// FitCtx runs the test stage: freeze TOD-Volume and Volume-Speed, optimize
+// the TOD generator so the end-to-end speed matches the observation (Eq. 12),
 // plus any auxiliary losses (Eq. 13). It returns the recovered TOD tensor
-// and the loss history.
-func (m *Model) Fit(speedObs *tensor.Tensor, epochs int, aux *AuxData) (*tensor.Tensor, []float64, error) {
-	return m.FitCtx(context.Background(), speedObs, epochs, aux)
-}
-
-// FitCtx is Fit with cooperative cancellation at epoch boundaries (see
+// and the loss history. Cancellation is observed at epoch boundaries (see
 // TrainV2SCtx).
 func (m *Model) FitCtx(ctx context.Context, speedObs *tensor.Tensor, epochs int, aux *AuxData) (*tensor.Tensor, []float64, error) {
 	restore := freezeParams(append(m.T2V.Params(), m.V2S.Params()...))
@@ -188,7 +175,7 @@ func (m *Model) FitCtx(ctx context.Context, speedObs *tensor.Tensor, epochs int,
 
 // fitGen optimizes one TOD generator against the observation. The frozen
 // TOD-Volume and Volume-Speed modules are only read, so multiple fitGen
-// calls on distinct generators may run concurrently (FitBest restarts);
+// calls on distinct generators may run concurrently (FitBestCtx restarts);
 // callers must freeze those modules' parameters first.
 func (m *Model) fitGen(ctx context.Context, gen TODGenModule, speedObs *tensor.Tensor, epochs int, aux *AuxData) ([]float64, error) {
 	return m.fitGenFrom(ctx, gen, speedObs, epochs, 0, nil, nn.NewAdam(m.Cfg.LR), aux, nil)
@@ -355,7 +342,7 @@ func (m *Model) auxLoss(g *autodiff.Graph, tod, vol *autodiff.Node, aux *AuxData
 }
 
 // speedScore re-evaluates the pure speed-observation loss of a fitted
-// generator on a fresh graph — no smoothness or auxiliary terms. FitBest
+// generator on a fresh graph — no smoothness or auxiliary terms. FitBestCtx
 // compares restarts on this score: the final training loss mixes the
 // regularizers and is a single noisy last-epoch value, so it can prefer a
 // restart whose actual speed match is worse.
@@ -372,7 +359,7 @@ func (m *Model) speedScore(gen TODGenModule, speedObs *tensor.Tensor, aux *AuxDa
 	return m.fitLoss(g, speed, speedObs, linkWeights).Value.Data[0]
 }
 
-// FitBest runs the test-time fit from `restarts` independent TOD-generator
+// FitBestCtx runs the test-time fit from `restarts` independent TOD-generator
 // starts and keeps the best recovery. Each restart begins from the
 // generator's entry state with freshly drawn Gaussian seeds — the seeds for
 // all restarts are drawn serially from a single root-derived rng, so the
@@ -383,14 +370,11 @@ func (m *Model) speedScore(gen TODGenModule, speedObs *tensor.Tensor, aux *AuxDa
 // (see speedScore), ties broken by the lowest restart index. Its generator
 // state is installed into m.TODGen before returning, so m.GenerateTOD() and
 // Model.Save afterwards agree exactly with the returned tensor.
-func (m *Model) FitBest(speedObs *tensor.Tensor, epochs, restarts int, aux *AuxData) (*tensor.Tensor, []float64, error) {
-	return m.fitBest(context.Background(), speedObs, epochs, restarts, aux, nil)
-}
-
-// FitBestCtx is FitBest with cooperative cancellation at restart and epoch
-// boundaries: once ctx is cancelled no new restart starts, in-flight
-// restarts abort at their next epoch boundary, and the call returns the
-// context's cancellation cause with the generator's entry state intact.
+//
+// Cancellation is observed at restart and epoch boundaries: once ctx is
+// cancelled no new restart starts, in-flight restarts abort at their next
+// epoch boundary, and the call returns the context's cancellation cause with
+// the generator's entry state intact.
 func (m *Model) FitBestCtx(ctx context.Context, speedObs *tensor.Tensor, epochs, restarts int, aux *AuxData) (*tensor.Tensor, []float64, error) {
 	return m.fitBest(ctx, speedObs, epochs, restarts, aux, nil)
 }
@@ -433,7 +417,7 @@ func (c *restartCtl) restartHook() stageHook {
 	}
 }
 
-// fitBest is the controllable core of FitBest. With a nil ctl it behaves
+// fitBest is the controllable core of FitBestCtx. With a nil ctl it behaves
 // exactly like the public method; a checkpointing caller passes a ctl to
 // restore completed restarts, record new ones, and interrupt cleanly (the
 // interrupt surfaces as ErrInterrupted with the model's entry state intact).
@@ -603,17 +587,11 @@ func copyStateTensors(dst, src []*tensor.Tensor) {
 	}
 }
 
-// TrainFull is a convenience wrapper running the complete Fig. 8 pipeline:
-// stage-1 Volume-Speed training, stage-2 TOD-Volume training, then the
-// test-time fit against the observed speed (with optional restarts). It
-// returns the recovered TOD.
-func (m *Model) TrainFull(samples []Sample, speedObs *tensor.Tensor, v2sEpochs, t2vEpochs, fitEpochs int, aux *AuxData) (*tensor.Tensor, error) {
-	return m.TrainFullCtx(context.Background(), samples, speedObs, v2sEpochs, t2vEpochs, fitEpochs, aux)
-}
-
-// TrainFullCtx is TrainFull with cooperative cancellation: each stage
-// observes ctx at its epoch (or restart) boundaries, and a cancelled call
-// returns the context's cancellation cause.
+// TrainFullCtx runs the complete Fig. 8 pipeline: stage-1 Volume-Speed
+// training, stage-2 TOD-Volume training, then the test-time fit against the
+// observed speed (with optional restarts). It returns the recovered TOD.
+// Each stage observes ctx at its epoch (or restart) boundaries, and a
+// cancelled call returns the context's cancellation cause.
 func (m *Model) TrainFullCtx(ctx context.Context, samples []Sample, speedObs *tensor.Tensor, v2sEpochs, t2vEpochs, fitEpochs int, aux *AuxData) (*tensor.Tensor, error) {
 	if _, err := m.TrainV2SCtx(ctx, samples, v2sEpochs); err != nil {
 		return nil, err

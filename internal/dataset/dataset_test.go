@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -231,7 +232,7 @@ func TestCamerasFromVolume(t *testing.T) {
 	s := sim.New(c.Net, sim.Config{Intervals: 4, IntervalSec: 120, Seed: 8})
 	rng := rand.New(rand.NewSource(9))
 	g := GenerateTOD(PatternRandom, TODConfig{Pairs: c.NumPairs(), Intervals: 4, Scale: 0.1}, rng)
-	res, err := s.Run(sim.Demand{ODs: c.ODs, G: g})
+	res, err := s.RunCtx(context.Background(), sim.Demand{ODs: c.ODs, G: g})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +293,7 @@ func TestTrajectoriesFromTOD(t *testing.T) {
 func TestGenerateTrainingData(t *testing.T) {
 	c := SyntheticGrid(6, 11)
 	s := sim.New(c.Net, sim.Config{Intervals: 4, IntervalSec: 120, Seed: 0})
-	samples, err := Generate(s, c, GenerateOptions{
+	samples, err := GenerateCtx(context.Background(), s, c, GenerateOptions{
 		Count: 5,
 		TOD:   TODConfig{Intervals: 4, Scale: 0.05},
 		Seed:  12,
@@ -316,7 +317,7 @@ func TestGenerateTrainingData(t *testing.T) {
 		}
 	}
 	// Determinism.
-	again, err := Generate(s, c, GenerateOptions{Count: 5, TOD: TODConfig{Intervals: 4, Scale: 0.05}, Seed: 12})
+	again, err := GenerateCtx(context.Background(), s, c, GenerateOptions{Count: 5, TOD: TODConfig{Intervals: 4, Scale: 0.05}, Seed: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +333,7 @@ func TestGenerateTrainingData(t *testing.T) {
 func TestGroundTruthSimulation(t *testing.T) {
 	c := SyntheticGrid(6, 13)
 	s := sim.New(c.Net, sim.Config{Intervals: 4, IntervalSec: 120, Seed: 0})
-	gt, err := GroundTruth(s, c, 0.05, 14)
+	gt, err := GroundTruthCtx(context.Background(), s, c, 0.05, 14)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,13 +406,13 @@ func TestCaseStudy2Shape(t *testing.T) {
 func TestGenerateScaleJitter(t *testing.T) {
 	c := SyntheticGrid(4, 31)
 	s := sim.New(c.Net, sim.Config{Intervals: 3, IntervalSec: 120, Seed: 0})
-	fixed, err := Generate(s, c, GenerateOptions{
+	fixed, err := GenerateCtx(context.Background(), s, c, GenerateOptions{
 		Count: 10, TOD: TODConfig{Intervals: 3, Scale: 0.5}, Seed: 7,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	jittered, err := Generate(s, c, GenerateOptions{
+	jittered, err := GenerateCtx(context.Background(), s, c, GenerateOptions{
 		Count: 10, TOD: TODConfig{Intervals: 3, Scale: 0.5},
 		ScaleJitter: [2]float64{0.2, 2.0}, Seed: 7,
 	})

@@ -33,17 +33,12 @@ type GenerateOptions struct {
 	Seed int64
 }
 
-// Generate runs the training-stage data generation of Fig. 7: it draws TOD
-// tensors from the five patterns over the city's OD pairs and simulates each
-// to obtain volume and speed. The simulator must be configured with the same
-// interval count as opts.TOD.Intervals.
-func Generate(s *sim.Simulator, city *City, opts GenerateOptions) ([]Sample, error) {
-	return GenerateCtx(context.Background(), s, city, opts)
-}
-
-// GenerateCtx is Generate with cooperative cancellation: ctx is observed
-// between samples and at the simulator's interval boundaries, so a cancelled
-// call returns the context's cancellation cause without a partial sample.
+// GenerateCtx runs the training-stage data generation of Fig. 7: it draws
+// TOD tensors from the five patterns over the city's OD pairs and simulates
+// each to obtain volume and speed. The simulator must be configured with the
+// same interval count as opts.TOD.Intervals. ctx is observed between samples
+// and at the simulator's interval boundaries, so a cancelled call returns the
+// context's cancellation cause without a partial sample.
 func GenerateCtx(ctx context.Context, s *sim.Simulator, city *City, opts GenerateOptions) ([]Sample, error) {
 	if opts.Count <= 0 {
 		return nil, fmt.Errorf("dataset: Generate needs Count > 0")
@@ -78,14 +73,9 @@ func GenerateCtx(ctx context.Context, s *sim.Simulator, city *City, opts Generat
 	return samples, nil
 }
 
-// GroundTruth simulates the city's ground-truth TOD to produce the hidden
+// GroundTruthCtx simulates the city's ground-truth TOD to produce the hidden
 // test observation (Fig. 7's testing stage): groundtruth volume and speed.
-func GroundTruth(s *sim.Simulator, city *City, scale float64, seed int64) (Sample, error) {
-	return GroundTruthCtx(context.Background(), s, city, scale, seed)
-}
-
-// GroundTruthCtx is GroundTruth with cooperative cancellation at the
-// simulator's interval boundaries.
+// ctx is observed at the simulator's interval boundaries.
 func GroundTruthCtx(ctx context.Context, s *sim.Simulator, city *City, scale float64, seed int64) (Sample, error) {
 	rng := rand.New(rand.NewSource(seed))
 	g := city.GroundTruthTOD(s.Cfg.Intervals, scale, rng)

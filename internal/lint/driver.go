@@ -67,12 +67,6 @@ type cacheDiag struct {
 	Message  string `json:"message"`
 }
 
-// Run analyzes every package of the module and returns per-package results
-// in sorted import-path order.
-func (d *Driver) Run() ([]PackageResult, error) {
-	return d.RunCtx(context.Background())
-}
-
 // RunCtx is Run with cooperative cancellation: the serial load loop checks
 // ctx between packages and the analysis fan-out stops claiming units once
 // ctx is done. A cancelled run returns context.Cause(ctx) and writes no

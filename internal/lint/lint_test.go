@@ -2,6 +2,7 @@ package lint
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -298,7 +299,7 @@ func TestDriverCacheRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		d := &Driver{Loader: loader, Analyzers: All(), Workers: workers, CacheFile: cacheFile}
-		res, err := d.Run()
+		res, err := d.RunCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

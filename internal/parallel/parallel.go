@@ -18,11 +18,11 @@
 // never deadlock on pool capacity, and an inner loop simply runs serially
 // when its own chunk count does not warrant helpers.
 //
-// The Ctx variants (ForCtx, ForWorkersCtx, RunCtx) add cooperative
-// cancellation on top of the same chunking: cancellation is observed only at
-// chunk boundaries, in-flight chunks always finish, and all helpers are
-// joined before returning, so a cancelled loop leaves no goroutines behind
-// and an uncancelled one is bitwise-identical to its plain counterpart.
+// The Ctx variants (ForWorkersCtx, RunCtx) add cooperative cancellation on
+// top of the same chunking: cancellation is observed only at chunk
+// boundaries, in-flight chunks always finish, and all helpers are joined
+// before returning, so a cancelled loop leaves no goroutines behind
+// and an uncancelled ForWorkersCtx is bitwise-identical to ForWorkers.
 package parallel
 
 import (
@@ -114,26 +114,6 @@ func ForWorkers(workers, n, grain int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// Run executes the given functions, at most `workers` concurrently (0 =
-// process default, 1 = serial in slice order). It is the coarse-grain
-// fan-out used for independent experiment cells and fit restarts; each
-// function must carry its own random state (derived from the root seed by
-// index) so results do not depend on the worker count.
-func Run(workers int, fns ...func()) {
-	ForWorkers(workers, len(fns), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fns[i]()
-		}
-	})
-}
-
-// ForCtx is For with cooperative cancellation: it runs fn over [0, n) in
-// contiguous chunks using the default worker count, draining at chunk
-// boundaries once ctx is cancelled. See ForWorkersCtx.
-func ForCtx(ctx context.Context, n, grain int, fn func(lo, hi int)) error {
-	return ForWorkersCtx(ctx, 0, n, grain, fn)
-}
-
 // ForWorkersCtx is ForWorkers with cooperative cancellation. Cancellation is
 // observed only at chunk boundaries: each worker checks ctx before claiming
 // its next chunk, a chunk that has started always runs to completion, and
@@ -204,10 +184,15 @@ func ForWorkersCtx(ctx context.Context, workers, n, grain int, fn func(lo, hi in
 	return nil
 }
 
-// RunCtx is Run with cooperative cancellation: functions that have started
-// run to completion, no new function starts once ctx is cancelled, and the
-// call returns the cancellation cause after all in-flight functions have
-// been joined (nil if every function ran).
+// RunCtx executes the given functions, at most `workers` concurrently (0 =
+// process default, 1 = serial in slice order). It is the coarse-grain
+// fan-out used for independent experiment cells and fit restarts; each
+// function must carry its own random state (derived from the root seed by
+// index) so results do not depend on the worker count.
+//
+// Functions that have started run to completion, no new function starts once
+// ctx is cancelled, and the call returns the cancellation cause after all
+// in-flight functions have been joined (nil if every function ran).
 func RunCtx(ctx context.Context, workers int, fns ...func()) error {
 	return ForWorkersCtx(ctx, workers, len(fns), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {

@@ -33,7 +33,7 @@ func TestForCtxAlreadyCancelledRunsNothing(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := false
-	err := ForCtx(ctx, 100, 1, func(lo, hi int) { ran = true })
+	err := ForWorkersCtx(ctx, 0, 100, 1, func(lo, hi int) { ran = true })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -46,7 +46,7 @@ func TestForCtxReturnsCause(t *testing.T) {
 	sentinel := errors.New("stop: budget exhausted")
 	ctx, cancel := context.WithCancelCause(context.Background())
 	cancel(sentinel)
-	if err := ForCtx(ctx, 10, 1, func(lo, hi int) {}); !errors.Is(err, sentinel) {
+	if err := ForWorkersCtx(ctx, 0, 10, 1, func(lo, hi int) {}); !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want the cancel cause", err)
 	}
 }

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -75,7 +76,9 @@ func TestRunExecutesAllTasks(t *testing.T) {
 		for i := range fns {
 			fns[i] = func() { count.Add(1) }
 		}
-		Run(workers, fns...)
+		if err := RunCtx(context.Background(), workers, fns...); err != nil {
+			t.Fatal(err)
+		}
 		if count.Load() != 17 {
 			t.Fatalf("workers=%d: ran %d of 17 tasks", workers, count.Load())
 		}
@@ -89,7 +92,9 @@ func TestRunPreservesIndexedResults(t *testing.T) {
 		i := i
 		fns[i] = func() { out[i] = i * i }
 	}
-	Run(4, fns...)
+	if err := RunCtx(context.Background(), 4, fns...); err != nil {
+		t.Fatal(err)
+	}
 	for i, v := range out {
 		if v != i*i {
 			t.Fatalf("slot %d = %d, want %d", i, v, i*i)

@@ -9,23 +9,25 @@ import (
 	"ovs/internal/tensor"
 )
 
-// TestRunCtxUncancelledMatchesRun: threading a live context must not perturb
-// the simulation — bitwise-identical tensors to the ctx-free path.
+// TestRunCtxUncancelledMatchesRun: threading a live, cancellable context
+// must not perturb the simulation — bitwise-identical tensors to a run under
+// context.Background, whose Done channel is nil.
 func TestRunCtxUncancelledMatchesRun(t *testing.T) {
 	for _, engine := range []Engine{Meso, Micro} {
 		net := lineNet()
 		d := constDemand(1, 4, 3, []ODNodes{{Origin: 0, Dest: 2}})
-		ref, err := New(net, Config{Intervals: 4, IntervalSec: 300, Seed: 1, Engine: engine}).Run(d)
+		ref, err := New(net, Config{Intervals: 4, IntervalSec: 300, Seed: 1, Engine: engine}).RunCtx(context.Background(), d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := New(net, Config{Intervals: 4, IntervalSec: 300, Seed: 1, Engine: engine}).
-			RunCtx(context.Background(), d)
+		ctx, cancel := context.WithCancel(context.Background())
+		got, err := New(net, Config{Intervals: 4, IntervalSec: 300, Seed: 1, Engine: engine}).RunCtx(ctx, d)
+		cancel()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !tensor.AllClose(ref.Volume, got.Volume, 0) || !tensor.AllClose(ref.Speed, got.Speed, 0) {
-			t.Fatalf("engine %v: RunCtx(Background) differs from Run", engine)
+			t.Fatalf("engine %v: a live context changes the result", engine)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -22,7 +23,7 @@ func TestMesoWorkerEquivalence(t *testing.T) {
 
 	run := func(workers int) *Result {
 		s := New(net, Config{Intervals: 3, IntervalSec: 180, Seed: 7, Workers: workers})
-		res, err := s.Run(d)
+		res, err := s.RunCtx(context.Background(), d)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -24,7 +25,7 @@ func TestMesoPoolingEquivalence(t *testing.T) {
 	run := func(workers int, pooled bool) *Result {
 		tensor.SetPooling(pooled)
 		s := New(net, Config{Intervals: 3, IntervalSec: 180, Seed: 19, Workers: workers})
-		res, err := s.Run(d)
+		res, err := s.RunCtx(context.Background(), d)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -35,13 +36,13 @@ func TestDynamicRouteCacheEquivalence(t *testing.T) {
 	for _, engine := range []Engine{Meso, Micro} {
 		cfgCached := base
 		cfgCached.Engine = engine
-		cached, err := New(net, cfgCached).Run(d)
+		cached, err := New(net, cfgCached).RunCtx(context.Background(), d)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfgUncached := cfgCached
 		cfgUncached.disableRouteCache = true
-		uncached, err := New(net, cfgUncached).Run(d)
+		uncached, err := New(net, cfgUncached).RunCtx(context.Background(), d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,12 +80,12 @@ func TestDynamicRoutingDiffersFromStatic(t *testing.T) {
 	net := gridNet()
 	const intervals = 4
 	d := dynamicGridDemand(net, intervals, 40) // heavy: congestion builds
-	static, err := New(net, Config{Intervals: intervals, IntervalSec: 300, Seed: 9}).Run(d)
+	static, err := New(net, Config{Intervals: intervals, IntervalSec: 300, Seed: 9}).RunCtx(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dynamic, err := New(net, Config{Intervals: intervals, IntervalSec: 300, Seed: 9,
-		Routing: DynamicRouting}).Run(d)
+		Routing: DynamicRouting}).RunCtx(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}

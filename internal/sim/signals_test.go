@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"ovs/internal/fd"
@@ -88,14 +89,14 @@ func TestSignalsDelayTraffic(t *testing.T) {
 	// A signalized corridor must have longer travel times than a free one.
 	net := roadnet.Grid(roadnet.GridConfig{Rows: 3, Cols: 3})
 	d := constDemand(1, 4, 20, []ODNodes{{Origin: 0, Dest: 8}})
-	free, err := New(net, Config{Intervals: 4, IntervalSec: 300, Seed: 5}).Run(d)
+	free, err := New(net, Config{Intervals: 4, IntervalSec: 300, Seed: 5}).RunCtx(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	signaled, err := New(net, Config{
 		Intervals: 4, IntervalSec: 300, Seed: 5,
 		Signals: UniformSignals(net, 60, 3),
-	}).Run(d)
+	}).RunCtx(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,14 +112,14 @@ func TestSignalsDelayTraffic(t *testing.T) {
 func TestSignalsDelayTrafficMicro(t *testing.T) {
 	net := roadnet.Grid(roadnet.GridConfig{Rows: 3, Cols: 3})
 	d := constDemand(1, 3, 10, []ODNodes{{Origin: 0, Dest: 8}})
-	free, err := New(net, Config{Intervals: 3, IntervalSec: 300, Seed: 6, Engine: Micro}).Run(d)
+	free, err := New(net, Config{Intervals: 3, IntervalSec: 300, Seed: 6, Engine: Micro}).RunCtx(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	signaled, err := New(net, Config{
 		Intervals: 3, IntervalSec: 300, Seed: 6, Engine: Micro,
 		Signals: UniformSignals(net, 60, 3),
-	}).Run(d)
+	}).RunCtx(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,11 +135,11 @@ func TestFundamentalDiagramSelection(t *testing.T) {
 	// observe (weakly) different speeds — proving the diagram is live.
 	net := lineNet()
 	d := constDemand(1, 3, 400, []ODNodes{{Origin: 0, Dest: 2}})
-	gs, err := New(net, Config{Intervals: 3, IntervalSec: 600, Seed: 7}).Run(d)
+	gs, err := New(net, Config{Intervals: 3, IntervalSec: 600, Seed: 7}).RunCtx(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	uw, err := New(net, Config{Intervals: 3, IntervalSec: 600, Seed: 7, Diagram: fd.Underwood{}}).Run(d)
+	uw, err := New(net, Config{Intervals: 3, IntervalSec: 600, Seed: 7, Diagram: fd.Underwood{}}).RunCtx(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}

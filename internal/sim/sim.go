@@ -224,16 +224,12 @@ func New(net *roadnet.Network, cfg Config) *Simulator {
 	return &Simulator{Net: net, Cfg: cfg.withDefaults()}
 }
 
-// Run simulates the demand and returns volume/speed observations. The run is
-// deterministic for a fixed (network, config, demand) triple.
-func (s *Simulator) Run(d Demand) (*Result, error) {
-	return s.RunCtx(context.Background(), d)
-}
-
-// RunCtx is Run with cooperative cancellation. The engines observe ctx only
-// at interval boundaries — the simulator's safe points — so a run that
-// completes without being cancelled is bitwise-identical to Run. A cancelled
-// run returns the context's cancellation cause and a nil Result.
+// RunCtx simulates the demand and returns volume/speed observations. The run
+// is deterministic for a fixed (network, config, demand) triple. The engines
+// observe ctx only at interval boundaries — the simulator's safe points — so
+// a run that completes without being cancelled is bitwise-identical to one
+// under a context that is never cancelled. A cancelled run returns the
+// context's cancellation cause and a nil Result.
 func (s *Simulator) RunCtx(ctx context.Context, d Demand) (*Result, error) {
 	if err := d.Validate(s.Net, s.Cfg.Intervals); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -23,7 +24,7 @@ func TestEntryQueueEventuallyDrains(t *testing.T) {
 	// a 0.5 veh/s discharge — the 28-vehicle link must fill and queue.
 	g := tensor.New(1, 6)
 	g.Set(900, 0, 0)
-	res, err := s.Run(Demand{ODs: []ODNodes{{Origin: a, Dest: c}}, G: g})
+	res, err := s.RunCtx(context.Background(), Demand{ODs: []ODNodes{{Origin: a, Dest: c}}, G: g})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +59,11 @@ func TestEntryQueueEventuallyDrains(t *testing.T) {
 func TestRoadWorkReducesCapacityToo(t *testing.T) {
 	net := lineNet()
 	d := constDemand(1, 3, 900, []ODNodes{{Origin: 0, Dest: 2}})
-	base, err := New(net, Config{Intervals: 3, IntervalSec: 600, Seed: 2}).Run(d)
+	base, err := New(net, Config{Intervals: 3, IntervalSec: 600, Seed: 2}).RunCtx(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	work, err := New(net, Config{Intervals: 3, IntervalSec: 600, Seed: 2, RoadWork: map[int]float64{0: 0.4}}).Run(d)
+	work, err := New(net, Config{Intervals: 3, IntervalSec: 600, Seed: 2, RoadWork: map[int]float64{0: 0.4}}).RunCtx(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestMicroJunctionBlocking(t *testing.T) {
 	g := tensor.New(1, 4)
 	g.Set(120, 0, 0)
 	s := New(net, Config{Intervals: 4, IntervalSec: 300, Seed: 3, Engine: Micro})
-	res, err := s.Run(Demand{ODs: []ODNodes{{Origin: a, Dest: d}}, G: g})
+	res, err := s.RunCtx(context.Background(), Demand{ODs: []ODNodes{{Origin: a, Dest: d}}, G: g})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestOccupancyBoundedByStorageProperty(t *testing.T) {
 	for _, engine := range []Engine{Meso, Micro} {
 		for _, rate := range []float64{10, 300, 1200} {
 			s := New(net, Config{Intervals: 2, IntervalSec: 300, Seed: 4, Engine: engine})
-			res, err := s.Run(constDemand(1, 2, rate, []ODNodes{{Origin: 0, Dest: 2}}))
+			res, err := s.RunCtx(context.Background(), constDemand(1, 2, rate, []ODNodes{{Origin: 0, Dest: 2}}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,7 +132,7 @@ func TestOccupancyBoundedByStorageProperty(t *testing.T) {
 func TestSpeedObservationMatchesGreenshields(t *testing.T) {
 	net := lineNet()
 	s := New(net, Config{Intervals: 4, IntervalSec: 600, Seed: 5})
-	res, err := s.Run(constDemand(1, 4, 400, []ODNodes{{Origin: 0, Dest: 2}}))
+	res, err := s.RunCtx(context.Background(), constDemand(1, 4, 400, []ODNodes{{Origin: 0, Dest: 2}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestDeterminismAcrossEntriesAndOccupancy(t *testing.T) {
 	ods := []ODNodes{{Origin: 0, Dest: 8}, {Origin: 6, Dest: 2}}
 	run := func() *Result {
 		s := New(net, Config{Intervals: 3, IntervalSec: 300, Seed: 77})
-		res, err := s.Run(constDemand(2, 3, 7.3, ods))
+		res, err := s.RunCtx(context.Background(), constDemand(2, 3, 7.3, ods))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,14 +177,14 @@ func TestDeterminismAcrossEntriesAndOccupancy(t *testing.T) {
 func TestStochasticRoutingSpreadsTraffic(t *testing.T) {
 	net := gridNet()
 	d := constDemand(1, 4, 40, []ODNodes{{Origin: 0, Dest: 8}})
-	static, err := New(net, Config{Intervals: 4, IntervalSec: 300, Seed: 8}).Run(d)
+	static, err := New(net, Config{Intervals: 4, IntervalSec: 300, Seed: 8}).RunCtx(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	stoch, err := New(net, Config{
 		Intervals: 4, IntervalSec: 300, Seed: 8,
 		Routing: StochasticRouting, RouteChoiceK: 3, LogitTheta: 2,
-	}).Run(d)
+	}).RunCtx(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +204,7 @@ func TestStochasticRoutingSpreadsTraffic(t *testing.T) {
 	stoch2, err := New(net, Config{
 		Intervals: 4, IntervalSec: 300, Seed: 8,
 		Routing: StochasticRouting, RouteChoiceK: 3, LogitTheta: 2,
-	}).Run(d)
+	}).RunCtx(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,14 +218,14 @@ func TestStochasticRoutingSpreadsTraffic(t *testing.T) {
 func TestLogitThetaGreediness(t *testing.T) {
 	net := gridNet()
 	d := constDemand(1, 3, 20, []ODNodes{{Origin: 0, Dest: 8}})
-	static, err := New(net, Config{Intervals: 3, IntervalSec: 300, Seed: 9}).Run(d)
+	static, err := New(net, Config{Intervals: 3, IntervalSec: 300, Seed: 9}).RunCtx(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	greedy, err := New(net, Config{
 		Intervals: 3, IntervalSec: 300, Seed: 9,
 		Routing: StochasticRouting, RouteChoiceK: 3, LogitTheta: 500,
-	}).Run(d)
+	}).RunCtx(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -53,7 +54,7 @@ func TestMesoConservation(t *testing.T) {
 	net := lineNet()
 	s := New(net, Config{Intervals: 4, IntervalSec: 300, Seed: 1})
 	d := constDemand(1, 4, 3, []ODNodes{{Origin: 0, Dest: 2}})
-	res, err := s.Run(d)
+	res, err := s.RunCtx(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestMesoEntriesCountThroughFlow(t *testing.T) {
 	net := lineNet()
 	s := New(net, Config{Intervals: 2, IntervalSec: 600, Seed: 2})
 	d := constDemand(1, 2, 5, []ODNodes{{Origin: 0, Dest: 2}})
-	res, err := s.Run(d)
+	res, err := s.RunCtx(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestMesoOccupancySemantics(t *testing.T) {
 	// 600 s interval: mean occupancy ≈ 40/600 ≈ 0.067 vehicle.
 	net := lineNet()
 	s := New(net, Config{Intervals: 1, IntervalSec: 600, Seed: 3})
-	res, err := s.Run(constDemand(1, 1, 1, []ODNodes{{Origin: 0, Dest: 2}}))
+	res, err := s.RunCtx(context.Background(), constDemand(1, 1, 1, []ODNodes{{Origin: 0, Dest: 2}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestMesoOccupancySemantics(t *testing.T) {
 	}
 	// Occupancy must rise with demand and is bounded by link storage.
 	heavy, err := New(net, Config{Intervals: 1, IntervalSec: 600, Seed: 3}).
-		Run(constDemand(1, 1, 800, []ODNodes{{Origin: 0, Dest: 2}}))
+		RunCtx(context.Background(), constDemand(1, 1, 800, []ODNodes{{Origin: 0, Dest: 2}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestVolumeSpeedMonotoneAcrossDemand(t *testing.T) {
 	prevOcc, prevSpeed := -1.0, 1e9
 	for _, rate := range []float64{5, 50, 200, 800} {
 		s := New(net, Config{Intervals: 2, IntervalSec: 600, Seed: 4})
-		res, err := s.Run(constDemand(1, 2, rate, []ODNodes{{Origin: 0, Dest: 2}}))
+		res, err := s.RunCtx(context.Background(), constDemand(1, 2, rate, []ODNodes{{Origin: 0, Dest: 2}}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +157,7 @@ func TestMesoSpeedBounds(t *testing.T) {
 	}
 	cfg := Config{Intervals: 6, IntervalSec: 300, Seed: 4}
 	s := New(net, cfg)
-	res, err := s.Run(constDemand(len(ods), 6, 8, ods))
+	res, err := s.RunCtx(context.Background(), constDemand(len(ods), 6, 8, ods))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestMesoDeterminism(t *testing.T) {
 	ods := []ODNodes{{Origin: 0, Dest: 8}, {Origin: 2, Dest: 6}, {Origin: 4, Dest: 0}}
 	run := func() *Result {
 		s := New(net, Config{Intervals: 4, IntervalSec: 300, Seed: 42})
-		res, err := s.Run(constDemand(3, 4, 6.5, ods))
+		res, err := s.RunCtx(context.Background(), constDemand(3, 4, 6.5, ods))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +196,7 @@ func TestMesoDeterminism(t *testing.T) {
 	}
 	// Different seed must change departure times (and almost surely outputs).
 	s2 := New(net, Config{Intervals: 4, IntervalSec: 300, Seed: 43})
-	c, err := s2.Run(constDemand(3, 4, 6.5, ods))
+	c, err := s2.RunCtx(context.Background(), constDemand(3, 4, 6.5, ods))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ func TestMesoCongestionSlowsTraffic(t *testing.T) {
 	net := lineNet()
 	run := func(rate float64) *Result {
 		s := New(net, Config{Intervals: 4, IntervalSec: 600, Seed: 5})
-		res, err := s.Run(constDemand(1, 4, rate, []ODNodes{{Origin: 0, Dest: 2}}))
+		res, err := s.RunCtx(context.Background(), constDemand(1, 4, rate, []ODNodes{{Origin: 0, Dest: 2}}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,7 +247,7 @@ func TestMesoSpillbackDelaysUpstream(t *testing.T) {
 			}
 		}
 		s := New(net, Config{Intervals: 6, IntervalSec: 600, Seed: 6})
-		res, err := s.Run(Demand{ODs: ods, G: g})
+		res, err := s.RunCtx(context.Background(), Demand{ODs: ods, G: g})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,11 +265,11 @@ func TestRoadWorkSlowsLink(t *testing.T) {
 	base := New(net, Config{Intervals: 3, IntervalSec: 600, Seed: 7})
 	work := New(net, Config{Intervals: 3, IntervalSec: 600, Seed: 7, RoadWork: map[int]float64{0: 0.3}})
 	d := constDemand(1, 3, 5, []ODNodes{{Origin: 0, Dest: 2}})
-	rb, err := base.Run(d)
+	rb, err := base.RunCtx(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rw, err := work.Run(d)
+	rw, err := work.RunCtx(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,11 +291,11 @@ func TestDynamicRoutingAvoidsCongestion(t *testing.T) {
 	d := constDemand(1, 6, 80, []ODNodes{{Origin: 0, Dest: 8}})
 	static := New(net, Config{Intervals: 6, IntervalSec: 600, Seed: 8})
 	dynamic := New(net, Config{Intervals: 6, IntervalSec: 600, Seed: 8, Routing: DynamicRouting})
-	rs, err := static.Run(d)
+	rs, err := static.RunCtx(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd, err := dynamic.Run(d)
+	rd, err := dynamic.RunCtx(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +317,7 @@ func TestDynamicRoutingAvoidsCongestion(t *testing.T) {
 func TestMicroBasicRun(t *testing.T) {
 	net := lineNet()
 	s := New(net, Config{Intervals: 3, IntervalSec: 300, Seed: 9, Engine: Micro})
-	res, err := s.Run(constDemand(1, 3, 3, []ODNodes{{Origin: 0, Dest: 2}}))
+	res, err := s.RunCtx(context.Background(), constDemand(1, 3, 3, []ODNodes{{Origin: 0, Dest: 2}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +337,7 @@ func TestMicroCongestionSlowsTraffic(t *testing.T) {
 	net := lineNet()
 	run := func(rate float64) float64 {
 		s := New(net, Config{Intervals: 3, IntervalSec: 600, Seed: 10, Engine: Micro})
-		res, err := s.Run(constDemand(1, 3, rate, []ODNodes{{Origin: 0, Dest: 2}}))
+		res, err := s.RunCtx(context.Background(), constDemand(1, 3, rate, []ODNodes{{Origin: 0, Dest: 2}}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,7 +353,7 @@ func TestMicroDeterminism(t *testing.T) {
 	net := lineNet()
 	run := func() *Result {
 		s := New(net, Config{Intervals: 2, IntervalSec: 300, Seed: 11, Engine: Micro})
-		res, err := s.Run(constDemand(1, 2, 4, []ODNodes{{Origin: 0, Dest: 2}}))
+		res, err := s.RunCtx(context.Background(), constDemand(1, 2, 4, []ODNodes{{Origin: 0, Dest: 2}}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -370,7 +371,7 @@ func TestEnginesQualitativelyAgree(t *testing.T) {
 	net := lineNet()
 	meanSpeed := func(engine Engine, rate float64) float64 {
 		s := New(net, Config{Intervals: 3, IntervalSec: 600, Seed: 12, Engine: engine})
-		res, err := s.Run(constDemand(1, 3, rate, []ODNodes{{Origin: 0, Dest: 2}}))
+		res, err := s.RunCtx(context.Background(), constDemand(1, 3, rate, []ODNodes{{Origin: 0, Dest: 2}}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -391,7 +392,7 @@ func TestFractionalDemandExpectation(t *testing.T) {
 	const runs = 60
 	for seed := 0; seed < runs; seed++ {
 		s := New(net, Config{Intervals: 4, IntervalSec: 60, Seed: int64(seed)})
-		res, err := s.Run(constDemand(1, 4, 0.5, []ODNodes{{Origin: 0, Dest: 2}}))
+		res, err := s.RunCtx(context.Background(), constDemand(1, 4, 0.5, []ODNodes{{Origin: 0, Dest: 2}}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -408,7 +409,7 @@ func TestQuickVolumeNonNegativeAndBounded(t *testing.T) {
 	f := func(seed int64, rate uint8) bool {
 		r := float64(rate%20) + 1
 		s := New(net, Config{Intervals: 2, IntervalSec: 120, Seed: seed})
-		res, err := s.Run(constDemand(1, 2, r, []ODNodes{{Origin: 0, Dest: 2}}))
+		res, err := s.RunCtx(context.Background(), constDemand(1, 2, r, []ODNodes{{Origin: 0, Dest: 2}}))
 		if err != nil {
 			return false
 		}
@@ -435,7 +436,7 @@ func TestUnknownEngine(t *testing.T) {
 	net := lineNet()
 	s := New(net, Config{Intervals: 1, IntervalSec: 60})
 	s.Cfg.Engine = Engine(99)
-	if _, err := s.Run(constDemand(1, 1, 1, []ODNodes{{Origin: 0, Dest: 2}})); err == nil {
+	if _, err := s.RunCtx(context.Background(), constDemand(1, 1, 1, []ODNodes{{Origin: 0, Dest: 2}})); err == nil {
 		t.Fatal("unknown engine did not error")
 	}
 }

@@ -2,6 +2,7 @@ package trafficio
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -87,7 +88,7 @@ func TestReadDemandRejectsMismatch(t *testing.T) {
 func TestWriteResult(t *testing.T) {
 	net := roadnet.Grid(roadnet.GridConfig{Rows: 2, Cols: 2})
 	s := sim.New(net, sim.Config{Intervals: 2, IntervalSec: 120, Seed: 1})
-	res, err := s.Run(sim.Demand{
+	res, err := s.RunCtx(context.Background(), sim.Demand{
 		ODs: []sim.ODNodes{{Origin: 0, Dest: 3}},
 		G:   tensor.Full(3, 1, 2),
 	})

@@ -8,12 +8,13 @@
 // The aliases below expose the stable, documented surface of the library.
 // Downstream users compose them as:
 //
+//	ctx := context.Background()
 //	city := ovs.SyntheticGrid(8, 1)
 //	simulator := ovs.NewSimulator(city.Net, ovs.SimConfig{Intervals: 8, IntervalSec: 300})
 //	...                                  // generate samples, observe speed
 //	topo, _ := ovs.NewTopology(city.Net, pairs, 8, 1)
 //	model := ovs.NewModel(topo, ovs.DefaultModelConfig())
-//	recovered, _ := model.TrainFull(samples, speedObs, 30, 25, 200, nil)
+//	recovered, _ := model.TrainFullCtx(ctx, samples, speedObs, 30, 25, 200, nil)
 //
 // See examples/ for runnable end-to-end programs and internal/experiment for
 // the table/figure reproduction harness behind cmd/ovstables.

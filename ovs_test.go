@@ -1,6 +1,7 @@
 package ovs_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -31,7 +32,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 			Pairs: city.NumPairs(), Intervals: intervals,
 			IntervalMinutes: intervalSec / 60, Scale: 0.6,
 		}, rng)
-		res, err := simulator.Run(ovs.Demand{ODs: city.ODs, G: g})
+		res, err := simulator.RunCtx(context.Background(), ovs.Demand{ODs: city.ODs, G: g})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +46,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		Pairs: city.NumPairs(), Intervals: intervals,
 		IntervalMinutes: intervalSec / 60, Scale: 0.5,
 	}, rng)
-	obs, err := simulator.Run(ovs.Demand{ODs: city.ODs, G: hidden})
+	obs, err := simulator.RunCtx(context.Background(), ovs.Demand{ODs: city.ODs, G: hidden})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	cfg.MaxTrips = maxTrips * 1.2
 	cfg.Seed = seed
 	model := ovs.NewModel(topo, cfg)
-	recovered, err := model.TrainFull(samples, obs.Speed, 4, 3, 15, nil)
+	recovered, err := model.TrainFullCtx(context.Background(), samples, obs.Speed, 4, 3, 15, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
