@@ -3,117 +3,8 @@ package core
 import (
 	"context"
 	"errors"
-	"runtime"
-	"sync"
 	"testing"
-
-	"ovs/internal/tensor"
 )
-
-// ctxCancelAfter returns a context plus a CkptOptions.Stop that cancels it on
-// the (n+1)-th poll while itself always reporting false. stopRequested
-// evaluates Stop() before ctx.Err(), so the cancellation is visible in the
-// very same poll — ctx cancellation lands at exactly the epoch boundary where
-// the legacy Stop path would have fired, which is the precondition for the
-// bitwise checkpoint-equivalence assertions below.
-func ctxCancelAfter(n int) (context.Context, func() bool) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var mu sync.Mutex
-	count := 0
-	stop := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		count++
-		if count > n {
-			cancel()
-		}
-		return false
-	}
-	return ctx, stop
-}
-
-// ctxInterruptedTrainFull is interruptedTrainFull's ctx twin: every attempt
-// runs under a context that gets cancelled mid-flight, the run must exit via
-// ErrInterrupted (checkpoint written), and a fresh context resumes it.
-func ctxInterruptedTrainFull(t *testing.T, topo *Topology, cfg Config, samples []Sample, dir string) (*TrainResult, int) {
-	t.Helper()
-	for attempt := 0; attempt < 60; attempt++ {
-		m := NewModel(topo, cfg)
-		obs := fitObs(m, 12)
-		ctx, trigger := ctxCancelAfter(1 + 2*attempt)
-		c, err := NewCheckpointer(m, CkptOptions{Dir: dir, Every: 1, Stop: trigger})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.Resume(); err != nil {
-			t.Fatalf("attempt %d: resume: %v", attempt, err)
-		}
-		res, err := c.TrainFull(ctx, samples, obs, 3, 3, 2, nil)
-		if err == nil {
-			return res, attempt
-		}
-		// A checkpointed run must surface cancellation as the resumable
-		// ErrInterrupted, never as a bare context error.
-		if !errors.Is(err, ErrInterrupted) {
-			t.Fatalf("attempt %d: %v, want ErrInterrupted", attempt, err)
-		}
-	}
-	t.Fatal("pipeline never completed within the attempt budget")
-	return nil, 0
-}
-
-// TestCtxCancelEquivalence is the tentpole guarantee of the cancellable
-// runtime: a checkpointed run cancelled via its context at any epoch and then
-// resumed produces bitwise-identical parameters, RNG position, and loss
-// history to a run that was never cancelled — the ctx path must be
-// indistinguishable from the legacy Stop-poll interrupt path at the same
-// boundary. Checked at several worker counts with arena pooling on and off.
-func TestCtxCancelEquivalence(t *testing.T) {
-	restorePool := tensor.PoolingEnabled()
-	defer tensor.SetPooling(restorePool)
-
-	topo := testTopo(t, 4, 1)
-	samples := poolingSamples(topo, 2)
-
-	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-		for _, pooled := range []bool{true, false} {
-			tensor.SetPooling(pooled)
-			label := "ctx " + labelOf(workers, pooled)
-			cfg := ckptTestConfig(workers, 1)
-			ref, refDir := referenceTrainFull(t, topo, cfg, samples)
-			gotDir := t.TempDir()
-			got, attempts := ctxInterruptedTrainFull(t, topo, cfg, samples, gotDir)
-			if attempts == 0 {
-				t.Fatalf("%s: the run was never cancelled; the test exercises nothing", label)
-			}
-			requireSameResult(t, label, ref, got)
-			requireSameFinalSnapshot(t, label, refDir, gotDir)
-		}
-	}
-}
-
-// TestCtxCancelEquivalenceRestarts repeats the ctx-cancel equivalence check
-// with a multi-restart fit, exercising cancellation of the restart-granular
-// checkpoint path on both the bounded and concurrent schedules (where
-// restarts unstarted at cancellation are recorded as skipped and re-run on
-// resume).
-func TestCtxCancelEquivalenceRestarts(t *testing.T) {
-	topo := testTopo(t, 4, 1)
-	samples := poolingSamples(topo, 2)
-
-	for _, workers := range []int{1, 2} {
-		cfg := ckptTestConfig(workers, 3)
-		label := "ctx restarts " + labelOf(workers, tensor.PoolingEnabled())
-		ref, refDir := referenceTrainFull(t, topo, cfg, samples)
-		gotDir := t.TempDir()
-		got, attempts := ctxInterruptedTrainFull(t, topo, cfg, samples, gotDir)
-		if attempts == 0 {
-			t.Fatalf("%s: the run was never cancelled", label)
-		}
-		requireSameResult(t, label, ref, got)
-		requireSameFinalSnapshot(t, label, refDir, gotDir)
-	}
-}
 
 // TestTrainCtxReturnsCancelCause covers the non-checkpointed entry points:
 // with no hook to convert cancellation into ErrInterrupted, a cancelled stage

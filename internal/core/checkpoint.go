@@ -12,10 +12,9 @@ import (
 	"ovs/internal/tensor"
 )
 
-// ErrInterrupted is returned by checkpointed training entry points when
-// CkptOptions.Stop fires or the run's context is cancelled. A checkpoint has
-// been written by the time it surfaces; rerunning with resume continues
-// where the run stopped.
+// ErrInterrupted is returned by checkpointed training entry points when the
+// run's context is cancelled. A checkpoint has been written by the time it
+// surfaces; rerunning with resume continues where the run stopped.
 var ErrInterrupted = errors.New("core: run interrupted; checkpoint written")
 
 // Pipeline stage names recorded in checkpoints. A snapshot in stage S with
@@ -52,12 +51,6 @@ type CkptOptions struct {
 	Every int
 	// Keep is the retention depth; <= 0 selects the package default.
 	Keep int
-	// Stop is polled between epochs and restarts; once it reports true, a
-	// final checkpoint is written and the run returns ErrInterrupted. It must
-	// be safe to call from multiple goroutines. Context cancellation takes
-	// the exact same path: Stop firing and ctx cancellation are observed at
-	// the same boundaries and write identical checkpoints.
-	Stop func() bool
 }
 
 // Checkpointer wraps a Model with checkpointed, resumable variants of the
@@ -197,7 +190,6 @@ func (c *Checkpointer) FitBest(ctx context.Context, speedObs *tensor.Tensor, epo
 	var recMu sync.Mutex
 	ctl := &restartCtl{
 		restored: restored,
-		stop:     func() bool { return c.stopRequested(ctx) },
 		onDone: func(r int, state []*tensor.Tensor, hist []float64) error {
 			recMu.Lock()
 			defer recMu.Unlock()
@@ -321,15 +313,13 @@ func (c *Checkpointer) runEpochStage(ctx context.Context, stage string, epochs i
 }
 
 // epochHook returns the per-epoch callback for one stage: it checkpoints on
-// the configured cadence, at the stage boundary, and on interrupt — in the
-// interrupt case converting the stop request (or ctx cancellation, which is
-// deliberately indistinguishable here) into ErrInterrupted after the
-// checkpoint is safely on disk. Because the hook runs before the training
-// core's own ctx check, a cancelled checkpointed run always exits through
-// this path with its final checkpoint written.
+// the configured cadence, at the stage boundary, and on cancellation — in
+// the last case returning ErrInterrupted once the checkpoint is safely on
+// disk. The hook is the stage's only reader of ctx (see endEpoch), so a
+// cancelled checkpointed run always exits through this path.
 func (c *Checkpointer) epochHook(ctx context.Context, stage string, epochs int) stageHook {
 	return func(done int, hist []float64, opt nn.StatefulOptimizer) error {
-		stopped := c.stopRequested(ctx)
+		stopped := ctx.Err() != nil
 		boundary := done == epochs
 		periodic := c.opts.Every > 0 && done%c.opts.Every == 0
 		if !stopped && !boundary && !periodic {
@@ -343,14 +333,6 @@ func (c *Checkpointer) epochHook(ctx context.Context, stage string, epochs int) 
 		}
 		return nil
 	}
-}
-
-// stopRequested polls the configured interrupt signal and the run's context.
-// Both feed the same checkpoint-then-ErrInterrupted sequence, which is what
-// makes a ctx-cancelled run's final checkpoint bitwise-identical to a
-// Stop-interrupted one at the same boundary.
-func (c *Checkpointer) stopRequested(ctx context.Context) bool {
-	return (c.opts.Stop != nil && c.opts.Stop()) || ctx.Err() != nil
 }
 
 // write captures the model's current state into a snapshot and persists it.

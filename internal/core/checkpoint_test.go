@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"reflect"
 	"runtime"
@@ -26,16 +27,33 @@ func ckptTestConfig(workers int, restarts int) Config {
 	return cfg
 }
 
-// stopAfter returns a goroutine-safe Stop that fires from the (n+1)-th poll.
-func stopAfter(n int) func() bool {
-	var mu sync.Mutex
-	count := 0
-	return func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		count++
-		return count > n
+// cancelAfterCtx is a context that cancels itself on the (n+1)-th call of
+// Err. Every interrupt boundary of the pipeline — each epoch's checkpoint
+// hook, each restart's start, each fit epoch of a restart — reads ctx.Err,
+// so a growing n walks the cancellation point across all of them through
+// the public ctx API alone. Err is safe for concurrent use, as concurrent
+// restarts require.
+type cancelAfterCtx struct {
+	context.Context
+	cancel context.CancelFunc
+	mu     sync.Mutex
+	left   int
+}
+
+func cancelAfter(n int) *cancelAfterCtx {
+	ctx, cancel := context.WithCancel(context.Background())
+	return &cancelAfterCtx{Context: ctx, cancel: cancel, left: n}
+}
+
+func (c *cancelAfterCtx) Err() error {
+	c.mu.Lock()
+	if c.left == 0 {
+		c.cancel()
+	} else {
+		c.left--
 	}
+	c.mu.Unlock()
+	return c.Context.Err()
 }
 
 // referenceTrainFull runs the pipeline uninterrupted under a checkpointer.
@@ -55,27 +73,32 @@ func referenceTrainFull(t *testing.T, topo *Topology, cfg Config, samples []Samp
 	return res, dir
 }
 
-// interruptedTrainFull kills and resumes the pipeline until it completes,
-// with an ever-growing poll budget so every attempt both interrupts somewhere
-// and makes progress. It returns the final result and the attempt count.
+// interruptedTrainFull cancels and resumes the pipeline until it completes,
+// with an ever-growing Err budget so every attempt both interrupts somewhere
+// and makes progress. Each attempt starts from a fresh model, as a new
+// process would. It returns the final result and the attempt count.
 func interruptedTrainFull(t *testing.T, topo *Topology, cfg Config, samples []Sample, dir string) (*TrainResult, int) {
 	t.Helper()
 	for attempt := 0; attempt < 60; attempt++ {
 		m := NewModel(topo, cfg)
 		obs := fitObs(m, 12)
-		c, err := NewCheckpointer(m, CkptOptions{Dir: dir, Every: 1, Stop: stopAfter(1 + 2*attempt)})
+		c, err := NewCheckpointer(m, CkptOptions{Dir: dir, Every: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := c.Resume(); err != nil {
 			t.Fatalf("attempt %d: resume: %v", attempt, err)
 		}
-		res, err := c.TrainFull(context.Background(), samples, obs, 3, 3, 2, nil)
+		ctx := cancelAfter(1 + 2*attempt)
+		res, err := c.TrainFull(ctx, samples, obs, 3, 3, 2, nil)
+		ctx.cancel()
 		if err == nil {
 			return res, attempt
 		}
+		// A checkpointed run must surface cancellation as the resumable
+		// ErrInterrupted, never as a bare context error.
 		if !errors.Is(err, ErrInterrupted) {
-			t.Fatalf("attempt %d: %v", attempt, err)
+			t.Fatalf("attempt %d: %v, want ErrInterrupted", attempt, err)
 		}
 	}
 	t.Fatal("pipeline never completed within the attempt budget")
@@ -125,13 +148,25 @@ func requireSameFinalSnapshot(t *testing.T, label, refDir, gotDir string) {
 }
 
 // TestResumeEquivalence is the headline guarantee of the checkpoint
-// subsystem: a run killed at any epoch and resumed produces bitwise-identical
-// parameters, optimizer state, and loss history to a run that never stopped —
-// at several worker counts and with arena pooling on and off. FitRestarts=1
-// exercises the epoch-granular fit stage.
+// subsystem: a run cancelled at any epoch and resumed produces
+// bitwise-identical parameters, optimizer state, RNG position and loss
+// history to a run that never stopped — at several worker counts and with
+// arena pooling on and off. FitRestarts=1 exercises the epoch-granular fit
+// stage.
 func TestResumeEquivalence(t *testing.T) {
-	restorePool := tensor.PoolingEnabled()
-	defer tensor.SetPooling(restorePool)
+	checkResumeEquivalence(t, 1)
+}
+
+// TestResumeEquivalenceRestarts repeats the headline check with a
+// multi-restart fit, exercising the restart-granular checkpoint path on both
+// the bounded (Workers=1) and concurrent schedules, where restarts unstarted
+// at cancellation are skipped and refitted on resume.
+func TestResumeEquivalenceRestarts(t *testing.T) {
+	checkResumeEquivalence(t, 3)
+}
+
+func checkResumeEquivalence(t *testing.T, restarts int) {
+	defer tensor.SetPooling(true)
 
 	topo := testTopo(t, 4, 1)
 	samples := poolingSamples(topo, 2)
@@ -139,48 +174,18 @@ func TestResumeEquivalence(t *testing.T) {
 	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 		for _, pooled := range []bool{true, false} {
 			tensor.SetPooling(pooled)
-			label := labelOf(workers, pooled)
-			cfg := ckptTestConfig(workers, 1)
+			label := fmt.Sprintf("workers=%d pooled=%v restarts=%d", workers, pooled, restarts)
+			cfg := ckptTestConfig(workers, restarts)
 			ref, refDir := referenceTrainFull(t, topo, cfg, samples)
 			gotDir := t.TempDir()
 			got, attempts := interruptedTrainFull(t, topo, cfg, samples, gotDir)
 			if attempts == 0 {
-				t.Fatalf("%s: the run never got interrupted; the test exercises nothing", label)
+				t.Fatalf("%s: the run was never cancelled; the test exercises nothing", label)
 			}
 			requireSameResult(t, label, ref, got)
 			requireSameFinalSnapshot(t, label, refDir, gotDir)
 		}
 	}
-}
-
-// TestResumeEquivalenceRestarts repeats the headline check with a
-// multi-restart fit, exercising the restart-granular checkpoint path on both
-// the concurrent and (via Workers=1 with cloning still active) bounded
-// schedules.
-func TestResumeEquivalenceRestarts(t *testing.T) {
-	topo := testTopo(t, 4, 1)
-	samples := poolingSamples(topo, 2)
-
-	for _, workers := range []int{1, 2} {
-		cfg := ckptTestConfig(workers, 3)
-		label := labelOf(workers, tensor.PoolingEnabled())
-		ref, refDir := referenceTrainFull(t, topo, cfg, samples)
-		gotDir := t.TempDir()
-		got, attempts := interruptedTrainFull(t, topo, cfg, samples, gotDir)
-		if attempts == 0 {
-			t.Fatalf("%s: the run never got interrupted", label)
-		}
-		requireSameResult(t, label, ref, got)
-		requireSameFinalSnapshot(t, label, refDir, gotDir)
-	}
-}
-
-func labelOf(workers int, pooled bool) string {
-	l := "workers=" + string(rune('0'+workers))
-	if pooled {
-		return l + " pooled"
-	}
-	return l + " fresh"
 }
 
 // TestResumeSurvivesCorruptNewestCheckpoint kills a run, corrupts the newest
@@ -198,11 +203,13 @@ func TestResumeSurvivesCorruptNewestCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	m := NewModel(topo, cfg)
 	obs := fitObs(m, 12)
-	c, err := NewCheckpointer(m, CkptOptions{Dir: dir, Every: 1, Stop: stopAfter(4)})
+	c, err := NewCheckpointer(m, CkptOptions{Dir: dir, Every: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.TrainFull(context.Background(), samples, obs, 3, 3, 2, nil); !errors.Is(err, ErrInterrupted) {
+	ctx := cancelAfter(4)
+	defer ctx.cancel()
+	if _, err := c.TrainFull(ctx, samples, obs, 3, 3, 2, nil); !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("expected interrupt, got %v", err)
 	}
 	// Truncate the newest checkpoint mid-file.
@@ -305,11 +312,13 @@ func TestStageMismatchRejected(t *testing.T) {
 
 	m := NewModel(topo, cfg)
 	obs := fitObs(m, 12)
-	c, err := NewCheckpointer(m, CkptOptions{Dir: dir, Every: 1, Stop: stopAfter(7)})
+	c, err := NewCheckpointer(m, CkptOptions{Dir: dir, Every: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.TrainFull(context.Background(), samples, obs, 3, 3, 2, nil); !errors.Is(err, ErrInterrupted) {
+	ctx := cancelAfter(7)
+	defer ctx.cancel()
+	if _, err := c.TrainFull(ctx, samples, obs, 3, 3, 2, nil); !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("expected interrupt in the fit stage, got %v", err)
 	}
 	snap, _, err := ckpt.Latest(dir)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -32,9 +31,8 @@ func (m *Model) TrainV2SCtx(ctx context.Context, samples []Sample, epochs int) (
 }
 
 // trainV2S is the resumable core of TrainV2SCtx: it continues from start
-// completed epochs with the given optimizer and accumulated history.
-// Cancellation is observed after the per-epoch hook, so a checkpointing hook
-// gets to convert it into a durable checkpoint + ErrInterrupted first.
+// completed epochs with the given optimizer and accumulated history, closing
+// each epoch with endEpoch.
 func (m *Model) trainV2S(ctx context.Context, samples []Sample, epochs, start int, hist []float64, opt *nn.Adam, hook stageHook) ([]float64, error) {
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("core: V2S training requires samples")
@@ -60,13 +58,8 @@ func (m *Model) trainV2S(ctx context.Context, samples []Sample, epochs, start in
 			nn.ZeroGrads(params)
 		}
 		history = append(history, total/float64(len(samples)))
-		if hook != nil {
-			if err := hook(e+1, history, opt); err != nil {
-				return history, err
-			}
-		}
-		if ctx.Err() != nil {
-			return history, context.Cause(ctx)
+		if err := endEpoch(ctx, e+1, history, opt, hook); err != nil {
+			return history, err
 		}
 	}
 	return history, nil
@@ -118,13 +111,8 @@ func (m *Model) trainT2V(ctx context.Context, samples []Sample, epochs, start in
 			nn.ZeroGrads(params)
 		}
 		history = append(history, total/float64(len(samples)))
-		if hook != nil {
-			if err := hook(e+1, history, opt); err != nil {
-				return history, err
-			}
-		}
-		if ctx.Err() != nil {
-			return history, context.Cause(ctx)
+		if err := endEpoch(ctx, e+1, history, opt, hook); err != nil {
+			return history, err
 		}
 	}
 	return history, nil
@@ -213,16 +201,27 @@ func (m *Model) fitGenFrom(ctx context.Context, gen TODGenModule, speedObs *tens
 		}
 		opt.Step(params)
 		nn.ZeroGrads(params)
-		if hook != nil {
-			if err := hook(e+1, history, opt); err != nil {
-				return history, err
-			}
-		}
-		if ctx.Err() != nil {
-			return history, context.Cause(ctx)
+		if err := endEpoch(ctx, e+1, history, opt, hook); err != nil {
+			return history, err
 		}
 	}
 	return history, nil
+}
+
+// endEpoch closes one completed epoch of a training stage. A checkpointing
+// hook owns the interrupt decision: it observes ctx itself and turns
+// cancellation into a durable checkpoint plus ErrInterrupted, so ctx is read
+// exactly once per epoch and a cancelled checkpointed stage always exits
+// with its final checkpoint written. Without a hook a cancelled stage
+// returns the context's cancellation cause.
+func endEpoch(ctx context.Context, done int, hist []float64, opt nn.StatefulOptimizer, hook stageHook) error {
+	if hook != nil {
+		return hook(done, hist, opt)
+	}
+	if ctx.Err() != nil {
+		return context.Cause(ctx)
+	}
+	return nil
 }
 
 // freezeParams freezes every parameter that is not already frozen and
@@ -389,41 +388,20 @@ type restartRecord struct {
 // restartCtl lets a checkpointing caller observe and steer a multi-restart
 // fit. Restarts listed in restored skip fitting and reuse the recorded
 // outcome; onDone reports each freshly completed restart (called from worker
-// goroutines — implementations synchronize internally); stop, polled before
-// and during each restart, requests a restart-granular interrupt. All fields
-// are optional.
+// goroutines — implementations synchronize internally). Both fields are
+// optional.
 type restartCtl struct {
 	restored map[int]restartRecord
 	onDone   func(r int, state []*tensor.Tensor, hist []float64) error
-	stop     func() bool
-}
-
-func (c *restartCtl) stopped() bool {
-	return c != nil && c.stop != nil && c.stop()
-}
-
-// restartHook aborts a restart's fit between epochs once stop fires. The
-// partial restart is discarded — resume refits it from its entry state — so
-// nothing is recorded here.
-func (c *restartCtl) restartHook() stageHook {
-	if c == nil || c.stop == nil {
-		return nil
-	}
-	return func(done int, hist []float64, opt nn.StatefulOptimizer) error {
-		if c.stop() {
-			return ErrInterrupted
-		}
-		return nil
-	}
 }
 
 // fitBest is the controllable core of FitBestCtx. With a nil ctl it behaves
 // exactly like the public method; a checkpointing caller passes a ctl to
-// restore completed restarts, record new ones, and interrupt cleanly (the
-// interrupt surfaces as ErrInterrupted with the model's entry state intact).
-// Cancellation via ctx is restart-granular like a ctl stop: with a ctl it
-// surfaces as ErrInterrupted (the checkpointed, resumable form), without one
-// as the context's cancellation cause.
+// restore completed restarts and record new ones. Cancellation is
+// restart-granular: a restart cut short is discarded — resume refits it from
+// its entry state — and the model keeps its entry state. With a ctl the
+// cancellation surfaces as ErrInterrupted (the checkpointed, resumable
+// form), without one as the context's cancellation cause.
 func (m *Model) fitBest(ctx context.Context, speedObs *tensor.Tensor, epochs, restarts int, aux *AuxData, ctl *restartCtl) (*tensor.Tensor, []float64, error) {
 	if restarts <= 1 {
 		return m.FitCtx(ctx, speedObs, epochs, aux)
@@ -459,13 +437,13 @@ func (m *Model) fitBest(ctx context.Context, speedObs *tensor.Tensor, epochs, re
 						return
 					}
 				}
-				if ctl.stopped() || ctx.Err() != nil {
+				if ctx.Err() != nil {
 					skipped[r] = true
 					return
 				}
-				hists[r], errs[r] = m.fitGenFrom(ctx, gens[r], speedObs, epochs, 0, nil, nn.NewAdam(m.Cfg.LR), aux, ctl.restartHook())
+				hists[r], errs[r] = m.fitGen(ctx, gens[r], speedObs, epochs, aux)
 				if errs[r] != nil {
-					if errors.Is(errs[r], ErrInterrupted) || ctx.Err() != nil {
+					if ctx.Err() != nil {
 						skipped[r], errs[r] = true, nil
 					}
 					return
@@ -525,7 +503,7 @@ func (m *Model) fitBest(ctx context.Context, speedObs *tensor.Tensor, epochs, re
 			copyStateTensors(m.TODGen.StateTensors(), rec.state)
 			hist = rec.hist
 		} else {
-			if ctl.stopped() || ctx.Err() != nil {
+			if ctx.Err() != nil {
 				copyStateTensors(m.TODGen.StateTensors(), entry)
 				if ctl != nil {
 					return nil, nil, ErrInterrupted
@@ -533,10 +511,13 @@ func (m *Model) fitBest(ctx context.Context, speedObs *tensor.Tensor, epochs, re
 				return nil, nil, context.Cause(ctx)
 			}
 			var err error
-			hist, err = m.fitGenFrom(ctx, m.TODGen, speedObs, epochs, 0, nil, nn.NewAdam(m.Cfg.LR), aux, ctl.restartHook())
+			hist, err = m.fitGen(ctx, m.TODGen, speedObs, epochs, aux)
 			if err != nil {
-				if errors.Is(err, ErrInterrupted) || ctx.Err() != nil {
+				if ctx.Err() != nil {
 					copyStateTensors(m.TODGen.StateTensors(), entry)
+					if ctl != nil {
+						return nil, nil, ErrInterrupted
+					}
 				}
 				return nil, nil, err
 			}

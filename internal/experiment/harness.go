@@ -211,8 +211,7 @@ func (e *Env) runOVSVariant(ctx context.Context, ab core.Ablation, aux *core.Aux
 // snapshots its state into opts.Dir as it goes and, when resume is set,
 // continues from the newest valid checkpoint instead of starting over. It
 // returns the path of the checkpoint resumed from ("" when starting fresh).
-// An opts.Stop interrupt — or ctx cancellation, which takes the identical
-// path — surfaces as core.ErrInterrupted after a final checkpoint is
+// Cancelling ctx surfaces as core.ErrInterrupted after a final checkpoint is
 // written.
 func (e *Env) RunOVSCkpt(ctx context.Context, aux *core.AuxData, opts core.CkptOptions, resume bool) (*tensor.Tensor, *core.Model, time.Duration, string, error) {
 	m, err := e.BuildOVS()
