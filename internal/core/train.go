@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -11,6 +12,13 @@ import (
 	"ovs/internal/parallel"
 	"ovs/internal/tensor"
 )
+
+// ErrDiverged is returned by every training stage when an epoch ends with a
+// non-finite loss, gradient norm or parameter. The check runs before the
+// epoch's checkpoint hook, so a diverged run never writes its poisoned
+// weights to disk: the newest checkpoint stays the last finite one. The
+// returned error wraps ErrDiverged with the stage and the 1-based epoch.
+var ErrDiverged = errors.New("core: training diverged")
 
 // stageHook is called after every completed epoch of a resumable training
 // stage with the number of epochs done so far, the loss history, and the live
@@ -44,21 +52,19 @@ func (m *Model) trainV2S(ctx context.Context, samples []Sample, epochs, start in
 	g := autodiff.NewGraph()
 	defer g.Release()
 	for e := start; e < epochs; e++ {
-		total := 0.0
+		total, gradNorm := 0.0, 0.0
 		for _, s := range samples {
 			g.Reset()
 			pred := m.V2S.MapSpeed(g, g.Const(s.Volume), true)
 			loss := autodiff.MSE(pred, s.Speed)
 			total += loss.Value.Data[0]
 			g.Backward(loss)
-			if m.Cfg.GradClip > 0 {
-				nn.ClipGrads(params, m.Cfg.GradClip)
-			}
+			gradNorm = math.Max(gradNorm, m.clipGrads(params))
 			opt.Step(params)
 			nn.ZeroGrads(params)
 		}
 		history = append(history, total/float64(len(samples)))
-		if err := endEpoch(ctx, e+1, history, opt, hook); err != nil {
+		if err := endEpoch(ctx, StageV2S, e+1, history, gradNorm, params, opt, hook); err != nil {
 			return history, err
 		}
 	}
@@ -90,7 +96,7 @@ func (m *Model) trainT2V(ctx context.Context, samples []Sample, epochs, start in
 	g := autodiff.NewGraph()
 	defer g.Release()
 	for e := start; e < epochs; e++ {
-		total := 0.0
+		total, gradNorm := 0.0, 0.0
 		for _, s := range samples {
 			g.Reset()
 			vol := m.T2V.MapVolume(g, g.Const(s.G), true)
@@ -104,14 +110,12 @@ func (m *Model) trainT2V(ctx context.Context, samples []Sample, epochs, start in
 			}
 			total += loss.Value.Data[0]
 			g.Backward(loss)
-			if m.Cfg.GradClip > 0 {
-				nn.ClipGrads(params, m.Cfg.GradClip)
-			}
+			gradNorm = math.Max(gradNorm, m.clipGrads(params))
 			opt.Step(params)
 			nn.ZeroGrads(params)
 		}
 		history = append(history, total/float64(len(samples)))
-		if err := endEpoch(ctx, e+1, history, opt, hook); err != nil {
+		if err := endEpoch(ctx, StageT2V, e+1, history, gradNorm, params, opt, hook); err != nil {
 			return history, err
 		}
 	}
@@ -196,25 +200,51 @@ func (m *Model) fitGenFrom(ctx context.Context, gen TODGenModule, speedObs *tens
 		}
 		history = append(history, loss.Value.Data[0])
 		g.Backward(loss)
-		if m.Cfg.GradClip > 0 {
-			nn.ClipGrads(params, m.Cfg.GradClip)
-		}
+		gradNorm := m.clipGrads(params)
 		opt.Step(params)
 		nn.ZeroGrads(params)
-		if err := endEpoch(ctx, e+1, history, opt, hook); err != nil {
+		if err := endEpoch(ctx, StageFit, e+1, history, gradNorm, params, opt, hook); err != nil {
 			return history, err
 		}
 	}
 	return history, nil
 }
 
-// endEpoch closes one completed epoch of a training stage. A checkpointing
-// hook owns the interrupt decision: it observes ctx itself and turns
-// cancellation into a durable checkpoint plus ErrInterrupted, so ctx is read
-// exactly once per epoch and a cancelled checkpointed stage always exits
-// with its final checkpoint written. Without a hook a cancelled stage
-// returns the context's cancellation cause.
-func endEpoch(ctx context.Context, done int, hist []float64, opt nn.StatefulOptimizer, hook stageHook) error {
+// clipGrads applies Cfg.GradClip and returns the step's pre-clip gradient
+// norm. With clipping off the norm is still measured, for endEpoch's
+// divergence check; an infinite bound never scales.
+func (m *Model) clipGrads(params []*autodiff.Parameter) float64 {
+	bound := m.Cfg.GradClip
+	if bound <= 0 {
+		bound = math.Inf(1)
+	}
+	return nn.ClipGrads(params, bound)
+}
+
+// endEpoch closes completed epoch done of a training stage, whose mean loss
+// is the last entry of hist and whose largest step gradient norm is
+// gradNorm (math.Max keeps a NaN). A non-finite loss, gradient norm or
+// trained parameter fails the stage with ErrDiverged before the hook can
+// checkpoint the poisoned weights. The parameters are checked too because
+// an optimizer step can overflow them while the loss and gradient that
+// drove it are still finite.
+//
+// A checkpointing hook owns the interrupt decision: it observes ctx itself
+// and turns cancellation into a durable checkpoint plus ErrInterrupted, so
+// ctx is read exactly once per epoch and a cancelled checkpointed stage
+// always exits with its final checkpoint written. Without a hook a cancelled
+// stage returns the context's cancellation cause.
+func endEpoch(ctx context.Context, stage string, done int, hist []float64, gradNorm float64, params []*autodiff.Parameter, opt nn.StatefulOptimizer, hook stageHook) error {
+	if loss := hist[len(hist)-1]; !isFinite(loss) || !isFinite(gradNorm) {
+		return fmt.Errorf("%w: stage %s, epoch %d: loss %v, gradient norm %v", ErrDiverged, stage, done, loss, gradNorm)
+	}
+	for _, p := range params {
+		for _, v := range p.Value.Data {
+			if !isFinite(v) {
+				return fmt.Errorf("%w: stage %s, epoch %d: parameter %s is not finite", ErrDiverged, stage, done, p.Name)
+			}
+		}
+	}
 	if hook != nil {
 		return hook(done, hist, opt)
 	}
@@ -223,6 +253,8 @@ func endEpoch(ctx context.Context, done int, hist []float64, opt nn.StatefulOpti
 	}
 	return nil
 }
+
+func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // freezeParams freezes every parameter that is not already frozen and
 // returns a closure restoring the previous state. Nested freezes compose:
