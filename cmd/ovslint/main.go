@@ -9,7 +9,6 @@
 //	go run ./cmd/ovslint -analyzers datamut,lockbalance ./...
 //	go run ./cmd/ovslint -tests ./...
 //	go run ./cmd/ovslint -json ./... > lint.json
-//	go run ./cmd/ovslint -cache .ovslint-cache.json ./...
 //	go run ./cmd/ovslint -list
 //
 // Package arguments restrict which packages are *reported*; the whole module
@@ -18,9 +17,8 @@
 // or the line immediately above it.
 //
 // -tests additionally loads in-package _test.go files and restricts the run
-// to the analyzers whose invariants hold in test code too. -cache enables
-// the content-hash incremental cache: packages whose transitive sources are
-// unchanged since the recorded run are neither type-checked nor re-analyzed.
+// to the analyzers whose invariants hold in test code too. Every run is
+// cold: the whole module is parsed, type-checked and analyzed.
 package main
 
 import (
@@ -41,7 +39,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
 	analyzers := flag.String("analyzers", "", "comma-separated analyzer subset (default: all)")
 	tests := flag.Bool("tests", false, "also lint in-package _test.go files (test-safe analyzers only)")
-	cacheFile := flag.String("cache", "", "path of the incremental cache file (empty disables caching)")
 	workers := flag.Int("workers", 0, "analysis worker count (0 = all cores)")
 	timeout := flag.Duration("timeout", 0, "cancel the run after this duration (0 = no deadline)")
 	flag.Parse()
@@ -79,7 +76,7 @@ func main() {
 	}
 	loader.Tests = *tests
 
-	driver := &lint.Driver{Loader: loader, Analyzers: selected, Workers: *workers, CacheFile: *cacheFile}
+	driver := &lint.Driver{Loader: loader, Analyzers: selected, Workers: *workers}
 	results, err := driver.RunCtx(ctx)
 	if err != nil {
 		fatal(err)
@@ -103,11 +100,7 @@ func main() {
 			continue
 		}
 		if *verbose {
-			from := "analyzed"
-			if res.Cached {
-				from = "cached"
-			}
-			fmt.Fprintf(os.Stderr, "ovslint: %s: %d diagnostic(s) (%s)\n", res.Path, len(res.Diags), from)
+			fmt.Fprintf(os.Stderr, "ovslint: %s: %d diagnostic(s)\n", res.Path, len(res.Diags))
 		}
 		for _, d := range res.Diags {
 			rel := d

@@ -280,46 +280,89 @@ func TestSelfLint(t *testing.T) {
 	}
 }
 
-// TestDriverCacheRoundTrip runs the incremental driver twice over the real
-// module: the second run must serve every package from the cache and report
-// identical diagnostics. Skipped under -short with the other whole-module
-// loads.
-func TestDriverCacheRoundTrip(t *testing.T) {
+// TestDriverWorkerEquivalence runs the driver cold at Workers 1 and 4 over
+// a throwaway module assembled from the analyzer fixtures, so that several
+// packages each yield diagnostics from several analyzers, and requires
+// identical per-package results: the parallel (package × analyzer) fan-out
+// and its merge must not depend on scheduling. The module's own packages
+// yield no diagnostics, so they could not show a misattributed one.
+// Skipped under -short: type-checking the fixtures' standard-library
+// imports from source takes a few seconds.
+func TestDriverWorkerEquivalence(t *testing.T) {
 	if testing.Short() {
-		t.Skip("driver round-trip loads the whole module; skipped under -short")
+		t.Skip("type-checks standard-library packages from source; skipped under -short")
 	}
-	root, err := FindModuleRoot(".")
-	if err != nil {
+	root := t.TempDir()
+	if err := os.WriteFile(filepath.Join(root, "go.mod"), []byte("module fixture\n\ngo 1.22\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cacheFile := filepath.Join(t.TempDir(), "cache.json")
+	// Each fixture goes where its package-scoped analyzers fire.
+	for _, f := range [][2]string{
+		{"errflow", "internal/trafficio"},
+		{"floateq", "internal/roadnet"},
+		{"globalrand", "internal/sim"},
+		{"ignorederr", "internal/ckpt"},
+		{"lockbalance", "internal/autodiff"},
+		{"mapiter", "internal/tensor"},
+		{"nakedgo", "internal/core"},
+		{"suppress", "internal/metrics"},
+	} {
+		src, err := os.ReadFile(filepath.Join("testdata", f[0], f[0]+".go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := filepath.Join(root, filepath.FromSlash(f[1]))
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, f[0]+".go"), src, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	run := func(workers int) []PackageResult {
 		loader, err := NewLoader(root)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := &Driver{Loader: loader, Analyzers: All(), Workers: workers, CacheFile: cacheFile}
+		d := &Driver{Loader: loader, Analyzers: All(), Workers: workers}
 		res, err := d.RunCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
+		if len(loader.TypeErrors) != 0 {
+			t.Fatalf("fixture module does not type-check: %v", loader.TypeErrors)
+		}
 		return res
 	}
-	first := run(1)
-	second := run(4)
-	if len(first) != len(second) {
-		t.Fatalf("package count changed between runs: %d vs %d", len(first), len(second))
+	serial := run(1)
+	total := 0
+	for _, r := range serial {
+		if len(r.Diags) == 0 {
+			t.Errorf("%s: no diagnostics; the comparison cannot see a misattributed one", r.Path)
+		}
+		total += len(r.Diags)
 	}
-	for i := range second {
-		if !second[i].Cached {
-			t.Errorf("%s: not served from cache on the second run", second[i].Path)
+	if len(serial) != 8 || total < 16 {
+		t.Fatalf("serial run: %d packages, %d diagnostics; want 8 packages and at least 16", len(serial), total)
+	}
+	// Several parallel runs, since a scheduling-dependent merge need not
+	// show in every one.
+	for rep := 0; rep < 3; rep++ {
+		par := run(4)
+		if len(par) != len(serial) {
+			t.Fatalf("workers=4: %d packages, serial run had %d", len(par), len(serial))
 		}
-		if got, want := len(second[i].Diags), len(first[i].Diags); got != want {
-			t.Errorf("%s: cached run has %d diagnostics, fresh run had %d", second[i].Path, got, want)
-		}
-		for j := range second[i].Diags {
-			if second[i].Diags[j].String() != first[i].Diags[j].String() {
-				t.Errorf("%s: diagnostic %d differs: %s vs %s", second[i].Path, j, second[i].Diags[j], first[i].Diags[j])
+		for i := range serial {
+			if par[i].Path != serial[i].Path {
+				t.Fatalf("workers=4: package %d is %s, serial run has %s", i, par[i].Path, serial[i].Path)
+			}
+			if len(par[i].Diags) != len(serial[i].Diags) {
+				t.Fatalf("%s: workers=4 has %d diagnostics, serial run %d", serial[i].Path, len(par[i].Diags), len(serial[i].Diags))
+			}
+			for j := range serial[i].Diags {
+				if par[i].Diags[j].String() != serial[i].Diags[j].String() {
+					t.Fatalf("%s: diagnostic %d differs: %s vs %s", serial[i].Path, j, par[i].Diags[j], serial[i].Diags[j])
+				}
 			}
 		}
 	}

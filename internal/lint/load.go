@@ -120,8 +120,8 @@ func (l *Loader) LoadAll() ([]*Package, error) {
 }
 
 // PackageDirs returns every package directory of the module in sorted order,
-// without parsing or type-checking anything. The incremental driver uses it
-// to hash packages before deciding which ones to load.
+// without parsing or type-checking anything. The driver uses it to load the
+// packages one at a time, observing cancellation between them.
 func (l *Loader) PackageDirs() ([]string, error) {
 	var dirs []string
 	err := filepath.WalkDir(l.root, func(path string, d os.DirEntry, err error) error {
@@ -146,15 +146,6 @@ func (l *Loader) PackageDirs() ([]string, error) {
 	sort.Strings(dirs)
 	return dirs, nil
 }
-
-// Root returns the absolute module root directory.
-func (l *Loader) Root() string { return l.root }
-
-// Module returns the module path from go.mod.
-func (l *Loader) Module() string { return l.module }
-
-// PathFor returns the import path of the package in dir.
-func (l *Loader) PathFor(dir string) string { return l.importPathFor(dir) }
 
 // Load loads (or returns the cached) package in dir.
 func (l *Loader) Load(dir string) (*Package, error) {
