@@ -261,8 +261,7 @@ func BenchmarkModelForward(b *testing.B) {
 func BenchmarkFitEpoch(b *testing.B) {
 	model := benchModel(b)
 	_, speed := model.Forward(tensor.Full(20, model.Topo.N, 8))
-	restore := tensor.PoolingEnabled()
-	defer tensor.SetPooling(restore)
+	defer tensor.SetPooling(true)
 	for _, mode := range []struct {
 		name   string
 		pooled bool

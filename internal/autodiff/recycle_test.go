@@ -66,8 +66,7 @@ func TestGraphResetReuseGradientEquality(t *testing.T) {
 // TestPooledVsFreshGradients checks that toggling the tensor arena cannot
 // change a single bit of the forward values or gradients.
 func TestPooledVsFreshGradients(t *testing.T) {
-	restore := tensor.PoolingEnabled()
-	defer tensor.SetPooling(restore)
+	defer tensor.SetPooling(true)
 
 	run := func(pooled bool) (float64, *tensor.Tensor, *tensor.Tensor) {
 		tensor.SetPooling(pooled)
@@ -95,8 +94,6 @@ func TestPooledVsFreshGradients(t *testing.T) {
 // bitwise, which accumulation into a dirty buffer would break — and Release
 // leaves the graph reusable.
 func TestResetReclaimsOwnedTensors(t *testing.T) {
-	restore := tensor.PoolingEnabled()
-	defer tensor.SetPooling(restore)
 	tensor.SetPooling(true)
 
 	p1, p2, x := testParams(13)

@@ -14,8 +14,7 @@ import (
 // identical TOD with the fused cell and with the unfused graph-op oracle, at
 // Workers ∈ {1, 2, GOMAXPROCS} and with arena pooling on and off.
 func TestTrainFullFusedEquivalence(t *testing.T) {
-	restorePool := tensor.PoolingEnabled()
-	defer tensor.SetPooling(restorePool)
+	defer tensor.SetPooling(true)
 	defer nn.SetFusedLSTM(true)
 
 	topo := testTopo(t, 4, 1)

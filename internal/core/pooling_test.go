@@ -39,8 +39,7 @@ func poolingSamples(topo *Topology, n int) []Sample {
 // Pooled buffers are zeroed on reuse, so a pooled run is indistinguishable
 // from a fresh-allocation run.
 func TestTrainFullPoolingEquivalence(t *testing.T) {
-	restore := tensor.PoolingEnabled()
-	defer tensor.SetPooling(restore)
+	defer tensor.SetPooling(true)
 
 	topo := testTopo(t, 4, 1)
 	samples := poolingSamples(topo, 3)
@@ -74,8 +73,7 @@ func TestTrainFullPoolingEquivalence(t *testing.T) {
 // recovers a bitwise-identical TOD with pooling on and off at every worker
 // count.
 func TestFitBestPoolingEquivalence(t *testing.T) {
-	restore := tensor.PoolingEnabled()
-	defer tensor.SetPooling(restore)
+	defer tensor.SetPooling(true)
 
 	topo := testTopo(t, 4, 1)
 

@@ -30,9 +30,6 @@ var fusedLSTMOff atomic.Bool
 // forward (the default) and the unfused graph-op forward.
 func SetFusedLSTM(on bool) { fusedLSTMOff.Store(!on) }
 
-// FusedLSTMEnabled reports whether LSTM forwards use the fused cell.
-func FusedLSTMEnabled() bool { return !fusedLSTMOff.Load() }
-
 // NewLSTM constructs an LSTM with the given input and hidden sizes. The
 // forget-gate bias is initialized to 1, the standard trick to preserve
 // gradient flow early in training.
@@ -71,7 +68,7 @@ func (l *LSTM) Forward(x *autodiff.Node, _ bool) *autodiff.Node {
 	pre := autodiff.AddRowVector(autodiff.MatMul(x, wx), b) // (T × 4*hidden)
 	outs := make([]*autodiff.Node, steps)
 
-	if FusedLSTMEnabled() {
+	if !fusedLSTMOff.Load() {
 		var prev *autodiff.Node
 		for step := 0; step < steps; step++ {
 			prev = autodiff.LSTMCell(pre, step, prev, wh, l.hidden)

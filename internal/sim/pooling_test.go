@@ -14,8 +14,7 @@ import (
 // identical volume, speed, and entry tensors with pooling enabled and
 // disabled, at every worker count.
 func TestMesoPoolingEquivalence(t *testing.T) {
-	restore := tensor.PoolingEnabled()
-	defer tensor.SetPooling(restore)
+	defer tensor.SetPooling(true)
 
 	net := roadnet.Grid(roadnet.GridConfig{Rows: 6, Cols: 7})
 	n := net.NumNodes()

@@ -119,6 +119,3 @@ var Default = &ChunkPool{}
 
 // SetPooling toggles the default pool.
 func SetPooling(on bool) { Default.SetEnabled(on) }
-
-// PoolingEnabled reports whether the default pool is pooling.
-func PoolingEnabled() bool { return !Default.off.Load() }

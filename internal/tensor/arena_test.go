@@ -88,8 +88,7 @@ func TestArenaDisabled(t *testing.T) {
 		t.Fatalf("disabled pool accepted a chunk: %+v", st)
 	}
 
-	restore := PoolingEnabled()
-	defer SetPooling(restore)
+	defer SetPooling(true)
 	SetPooling(false)
 	var r Region
 	before := Default.Stats()

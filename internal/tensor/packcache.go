@@ -213,10 +213,10 @@ func (c *packCacheState) evictLocked() {
 	}
 }
 
-// SetPackCaching switches the pack cache on or off. Disabling drops every
+// setPackCaching switches the pack cache on or off. Disabling drops every
 // entry (pinned ones drain through their readers), so a disabled cache holds
 // no pooled memory. Results are identical either way; only repack work changes.
-func SetPackCaching(on bool) {
+func setPackCaching(on bool) {
 	c := &packs
 	c.mu.Lock()
 	c.enabled = on
@@ -226,18 +226,9 @@ func SetPackCaching(on bool) {
 	c.mu.Unlock()
 }
 
-// PackCachingEnabled reports whether the pack cache is active.
-func PackCachingEnabled() bool {
-	c := &packs
-	c.mu.Lock()
-	on := c.enabled
-	c.mu.Unlock()
-	return on
-}
-
-// SetPackCacheCapacity sets the cache's payload byte cap and evicts down to
+// setPackCacheCapacity sets the cache's payload byte cap and evicts down to
 // it. Packs larger than the cap bypass the cache entirely.
-func SetPackCacheCapacity(bytes int64) {
+func setPackCacheCapacity(bytes int64) {
 	c := &packs
 	c.mu.Lock()
 	c.max = bytes

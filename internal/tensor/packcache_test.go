@@ -12,12 +12,12 @@ import (
 func withCleanPackCache(t *testing.T, fn func()) {
 	t.Helper()
 	FlushPackCache()
-	SetPackCaching(true)
-	SetPackCacheCapacity(packCacheDefaultCap)
+	setPackCaching(true)
+	setPackCacheCapacity(packCacheDefaultCap)
 	defer func() {
 		FlushPackCache()
-		SetPackCaching(true)
-		SetPackCacheCapacity(packCacheDefaultCap)
+		setPackCaching(true)
+		setPackCacheCapacity(packCacheDefaultCap)
 	}()
 	fn()
 }
@@ -125,8 +125,8 @@ func TestPackCacheInvalidation(t *testing.T) {
 				// Uncached reference after the probe: disabling flushes the
 				// cache, so it must not run between warm and probe.
 				want := func() *Tensor {
-					SetPackCaching(false)
-					defer SetPackCaching(true)
+					setPackCaching(false)
+					defer setPackCaching(true)
 					return MatMulTo(New(m, n), a, b)
 				}()
 				if d.Invalidations != 1 || d.Misses != 1 {
@@ -158,7 +158,7 @@ func TestPackCacheEviction(t *testing.T) {
 			b2.MarkPackable()
 
 			packBytes := int64(packedCols(n)*k) * 8
-			SetPackCacheCapacity(packBytes + packBytes/2) // room for one, not two
+			setPackCacheCapacity(packBytes + packBytes/2) // room for one, not two
 			before := PackCacheStatsSnapshot()
 			for i := 0; i < 4; i++ {
 				if got := MatMulTo(New(m, n), a, b1); !bitwiseEqual(got, want1) {
@@ -193,7 +193,7 @@ func TestPackCacheOversizeBypass(t *testing.T) {
 			b := Randn(rng, 1, k, n)
 			want := MatMulTo(New(m, n), a, b)
 			b.MarkPackable()
-			SetPackCacheCapacity(64) // smaller than any pack
+			setPackCacheCapacity(64) // smaller than any pack
 			before := PackCacheStatsSnapshot()
 			got := MatMulTo(New(m, n), a, b)
 			d := statsDelta(before)
@@ -242,8 +242,8 @@ func TestPackCachePoolRecycleClearsPackable(t *testing.T) {
 			}
 			got.MarkPackable()
 			want := func() *Tensor {
-				SetPackCaching(false)
-				defer SetPackCaching(true)
+				setPackCaching(false)
+				defer setPackCaching(true)
 				return MatMul(a, got)
 			}()
 			if !AllClose(MatMul(a, got), want, 0) {
@@ -266,8 +266,8 @@ func TestPackCacheParallelStress(t *testing.T) {
 			b := Randn(rng, 1, k, n)
 			b.MarkPackable()
 			want := func() *Tensor {
-				SetPackCaching(false)
-				defer SetPackCaching(true)
+				setPackCaching(false)
+				defer setPackCaching(true)
 				return MatMulTo(New(m, n), a, b)
 			}()
 
@@ -283,7 +283,7 @@ func TestPackCacheParallelStress(t *testing.T) {
 						case w == 0 && i%10 == 5:
 							FlushPackCache()
 						case w == 1 && i%10 == 7:
-							SetPackCacheCapacity(packCacheDefaultCap)
+							setPackCacheCapacity(packCacheDefaultCap)
 						default:
 							if got := MatMulTo(New(m, n), a, b); !bitwiseEqual(got, want) {
 								t.Errorf("worker %d iter %d: concurrent cached product differs", w, i)

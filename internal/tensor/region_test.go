@@ -120,7 +120,7 @@ func TestRegionCarveLargerThanChunk(t *testing.T) {
 // TestRegionReleaseReturnsChunks: Release hands the region's chunks to the
 // pool, and the region starts cold again.
 func TestRegionReleaseReturnsChunks(t *testing.T) {
-	if !PoolingEnabled() {
+	if Default.off.Load() {
 		t.Fatal("pooling unexpectedly disabled")
 	}
 	var r Region
