@@ -462,12 +462,10 @@ func (m *Model) fitBest(ctx context.Context, speedObs *tensor.Tensor, epochs, re
 		for r := range fns {
 			r := r
 			fns[r] = func() {
-				if ctl != nil {
-					if rec, ok := ctl.restored[r]; ok {
-						copyStateTensors(gens[r].StateTensors(), rec.state)
-						hists[r] = rec.hist
-						return
-					}
+				if rec, ok := restoredOf(ctl, r); ok {
+					copyStateTensors(gens[r].StateTensors(), rec.state)
+					hists[r] = rec.hist
+					return
 				}
 				if ctx.Err() != nil {
 					skipped[r] = true
