@@ -76,15 +76,24 @@ func referenceTrainFull(t *testing.T, topo *Topology, cfg Config, samples []Samp
 // interruptedTrainFull cancels and resumes the pipeline until it completes,
 // with an ever-growing Err budget so every attempt both interrupts somewhere
 // and makes progress. Each attempt starts from a fresh model, as a new
-// process would. It returns the final result and the attempt count.
-func interruptedTrainFull(t *testing.T, topo *Topology, cfg Config, samples []Sample, dir string) (*TrainResult, int) {
+// process would; with inProcess set, every attempt instead resumes the same
+// model and checkpointer that the cancelled attempt left behind, as a
+// long-lived caller would. It returns the final result and the attempt
+// count.
+func interruptedTrainFull(t *testing.T, topo *Topology, cfg Config, samples []Sample, dir string, inProcess bool) (*TrainResult, int) {
 	t.Helper()
+	var (
+		c   *Checkpointer
+		obs *tensor.Tensor
+	)
 	for attempt := 0; attempt < 60; attempt++ {
-		m := NewModel(topo, cfg)
-		obs := fitObs(m, 12)
-		c, err := NewCheckpointer(m, CkptOptions{Dir: dir, Every: 1})
-		if err != nil {
-			t.Fatal(err)
+		if c == nil || !inProcess {
+			m := NewModel(topo, cfg)
+			obs = fitObs(m, 12)
+			var err error
+			if c, err = NewCheckpointer(m, CkptOptions{Dir: dir, Every: 1}); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if _, err := c.Resume(); err != nil {
 			t.Fatalf("attempt %d: resume: %v", attempt, err)
@@ -148,13 +157,13 @@ func requireSameFinalSnapshot(t *testing.T, label, refDir, gotDir string) {
 }
 
 // TestResumeEquivalence is the headline guarantee of the checkpoint
-// subsystem: a run cancelled at any epoch and resumed produces
-// bitwise-identical parameters, optimizer state, RNG position and loss
-// history to a run that never stopped — at several worker counts and with
-// arena pooling on and off. FitRestarts=1 exercises the epoch-granular fit
-// stage.
+// subsystem: a run cancelled at any epoch and resumed in a new process
+// produces bitwise-identical parameters, optimizer state, RNG position and
+// loss history to a run that never stopped — at several worker counts and
+// with arena pooling on and off. FitRestarts=1 exercises the epoch-granular
+// fit stage.
 func TestResumeEquivalence(t *testing.T) {
-	checkResumeEquivalence(t, 1)
+	checkResumeEquivalence(t, 1, false)
 }
 
 // TestResumeEquivalenceRestarts repeats the headline check with a
@@ -162,10 +171,29 @@ func TestResumeEquivalence(t *testing.T) {
 // the bounded (Workers=1) and concurrent schedules, where restarts unstarted
 // at cancellation are skipped and refitted on resume.
 func TestResumeEquivalenceRestarts(t *testing.T) {
-	checkResumeEquivalence(t, 3)
+	checkResumeEquivalence(t, 3, false)
 }
 
-func checkResumeEquivalence(t *testing.T, restarts int) {
+// TestCtxCancelEquivalence runs the same matrix with the cancelled model
+// kept alive: each cancellation returns control to a caller that resumes
+// the very model and checkpointer it cancelled. Nothing the cancelled
+// attempt left in memory — arena regions, packed weights, optimizer or
+// generator state — may leak into the result.
+func TestCtxCancelEquivalence(t *testing.T) {
+	checkResumeEquivalence(t, 1, true)
+}
+
+// TestCtxCancelEquivalenceRestarts is TestCtxCancelEquivalence with a
+// multi-restart fit, where cancellation also abandons restarts mid-flight
+// on the concurrent schedule.
+func TestCtxCancelEquivalenceRestarts(t *testing.T) {
+	checkResumeEquivalence(t, 3, true)
+}
+
+// checkResumeEquivalence is the one interrupt family behind the four tests
+// above: Workers {1, 2, GOMAXPROCS} x pooling on/off at the given restart
+// count, resumed in a new process or in place.
+func checkResumeEquivalence(t *testing.T, restarts int, inProcess bool) {
 	defer tensor.SetPooling(true)
 
 	topo := testTopo(t, 4, 1)
@@ -174,11 +202,11 @@ func checkResumeEquivalence(t *testing.T, restarts int) {
 	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 		for _, pooled := range []bool{true, false} {
 			tensor.SetPooling(pooled)
-			label := fmt.Sprintf("workers=%d pooled=%v restarts=%d", workers, pooled, restarts)
+			label := fmt.Sprintf("workers=%d pooled=%v restarts=%d inProcess=%v", workers, pooled, restarts, inProcess)
 			cfg := ckptTestConfig(workers, restarts)
 			ref, refDir := referenceTrainFull(t, topo, cfg, samples)
 			gotDir := t.TempDir()
-			got, attempts := interruptedTrainFull(t, topo, cfg, samples, gotDir)
+			got, attempts := interruptedTrainFull(t, topo, cfg, samples, gotDir, inProcess)
 			if attempts == 0 {
 				t.Fatalf("%s: the run was never cancelled; the test exercises nothing", label)
 			}
@@ -225,7 +253,7 @@ func TestResumeSurvivesCorruptNewestCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, _ := interruptedTrainFull(t, topo, cfg, samples, dir)
+	got, _ := interruptedTrainFull(t, topo, cfg, samples, dir, false)
 	requireSameResult(t, "corrupt-fallback", ref, got)
 }
 

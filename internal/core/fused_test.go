@@ -90,7 +90,7 @@ func TestResumePackCacheEquivalence(t *testing.T) {
 
 	ref, _ := referenceTrainFull(t, topo, cfg, samples)
 	dir := t.TempDir()
-	got, _ := interruptedTrainFull(t, topo, cfg, samples, dir)
+	got, _ := interruptedTrainFull(t, topo, cfg, samples, dir, false)
 	requireSameResult(t, "pack cache resume", ref, got)
 
 	if st := tensor.PackCacheStatsSnapshot(); st.Hits == 0 {
