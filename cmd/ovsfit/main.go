@@ -237,7 +237,7 @@ func run(ctx context.Context, cityName string, train bool, modelPath, fitPath, o
 			return err
 		}
 	} else {
-		rec, _, err = model.FitCtx(ctx, obs, sc.FitEpochs, nil)
+		rec, _, err = model.FitBestCtx(ctx, obs, sc.FitEpochs, 1, nil)
 		if err != nil {
 			return err
 		}

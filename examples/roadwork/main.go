@@ -103,11 +103,11 @@ func main() {
 	}
 
 	// Fit the same trained mappings to each observation.
-	rec1, _, err := model.FitCtx(ctx, obs1.Speed, 100, nil)
+	rec1, _, err := model.FitBestCtx(ctx, obs1.Speed, 100, 1, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rec2, _, err := model.FitCtx(ctx, obs2.Speed, 100, nil)
+	rec2, _, err := model.FitBestCtx(ctx, obs2.Speed, 100, 1, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func TestTrainCtxReturnsCancelCause(t *testing.T) {
 	}
 
 	obs := fitObs(m, 12)
-	if _, _, err := m.FitCtx(ctx, obs, 3, nil); !errors.Is(err, sentinel) {
-		t.Fatalf("FitCtx err = %v, want the cancel cause", err)
+	if _, _, err := m.FitBestCtx(ctx, obs, 3, 1, nil); !errors.Is(err, sentinel) {
+		t.Fatalf("FitBestCtx err = %v, want the cancel cause", err)
 	}
 }

@@ -318,7 +318,7 @@ func (c *Checkpointer) runEpochStage(ctx context.Context, stage string, epochs i
 // disk. The hook is the stage's only reader of ctx (see endEpoch), so a
 // cancelled checkpointed run always exits through this path.
 func (c *Checkpointer) epochHook(ctx context.Context, stage string, epochs int) stageHook {
-	return func(done int, hist []float64, opt nn.StatefulOptimizer) error {
+	return func(done int, hist []float64, opt *nn.Adam) error {
 		stopped := ctx.Err() != nil
 		boundary := done == epochs
 		periodic := c.opts.Every > 0 && done%c.opts.Every == 0
@@ -339,7 +339,7 @@ func (c *Checkpointer) epochHook(ctx context.Context, stage string, epochs int) 
 // genState overrides the recorded generator state (restart-granular fits
 // record the fit's entry state, not the live mid-restart state); nil records
 // the live state.
-func (c *Checkpointer) write(stage string, epoch int, loss []float64, opt nn.StatefulOptimizer, restarts []ckpt.Restart, genState []*tensor.Tensor) error {
+func (c *Checkpointer) write(stage string, epoch int, loss []float64, opt *nn.Adam, restarts []ckpt.Restart, genState []*tensor.Tensor) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	params, err := nn.CaptureParams(c.m.Params())

@@ -244,7 +244,7 @@ func TestTrainErrorsWithoutSamples(t *testing.T) {
 func TestFitValidatesShape(t *testing.T) {
 	topo := testTopo(t, 4, 1)
 	m := NewModel(topo, DefaultConfig())
-	if _, _, err := m.FitCtx(context.Background(), tensor.New(3, 3), 1, nil); err == nil {
+	if _, _, err := m.FitBestCtx(context.Background(), tensor.New(3, 3), 1, 1, nil); err == nil {
 		t.Fatal("Fit with wrong observation shape did not error")
 	}
 }
@@ -257,7 +257,7 @@ func TestFitReducesSpeedLoss(t *testing.T) {
 	// Target: the speed the untrained chain produces for some hidden TOD.
 	hidden := tensor.Full(30, 4, 6)
 	_, speedObs := m.Forward(hidden)
-	_, hist, err := m.FitCtx(context.Background(), speedObs, 40, nil)
+	_, hist, err := m.FitBestCtx(context.Background(), speedObs, 40, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,12 +279,12 @@ func TestAuxCensusPullsDailySums(t *testing.T) {
 		census[i] = hidden.Row(i).Sum() // 120
 	}
 	aux := &AuxData{CensusSum: census, CensusWeight: 20}
-	recAux, _, err := m.FitCtx(context.Background(), speedObs, 60, aux)
+	recAux, _, err := m.FitBestCtx(context.Background(), speedObs, 60, 1, aux)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m2 := NewModel(topo, cfg)
-	recPlain, _, err := m2.FitCtx(context.Background(), speedObs, 60, nil)
+	recPlain, _, err := m2.FitBestCtx(context.Background(), speedObs, 60, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestAuxLossValidation(t *testing.T) {
 		}
 	}()
 	//ovslint:ignore ignorederr the call is expected to panic before returning; results are unreachable
-	_, _, _ = m.FitCtx(context.Background(), speedObs, 1, &AuxData{CensusSum: []float64{1, 2}, CensusWeight: 1})
+	_, _, _ = m.FitBestCtx(context.Background(), speedObs, 1, 1, &AuxData{CensusSum: []float64{1, 2}, CensusWeight: 1})
 }
 
 func TestAblationVariants(t *testing.T) {

@@ -129,19 +129,14 @@ type Model struct {
 // starting point (used by multi-restart fitting). StateTensors exposes the
 // tensors that fully determine the generator's output, in a fixed order
 // shared across instances of the same concrete type — FitBestCtx copies them
-// to snapshot and restore the winning restart.
+// to install the winning restart. CloneTODGen returns a deep, independent
+// copy whose StateTensors align index-for-index with the original's, so
+// FitBestCtx can fit restarts concurrently.
 type TODGenModule interface {
 	Generate(g *autodiff.Graph) *autodiff.Node
 	Params() []*autodiff.Parameter
 	Reseed(rng *rand.Rand)
 	StateTensors() []*tensor.Tensor
-}
-
-// CloneableTODGen is the optional capability FitBestCtx uses to run restarts
-// concurrently: CloneTODGen returns a deep, independent copy of the
-// generator whose StateTensors align index-for-index with the original's.
-type CloneableTODGen interface {
-	TODGenModule
 	CloneTODGen() TODGenModule
 }
 

@@ -43,8 +43,7 @@ func TestFitBestRestoresWinner(t *testing.T) {
 }
 
 // cannedGen is a TODGenModule whose output is a canned tensor; Reseed
-// switches to the next canned state. It does not implement CloneableTODGen,
-// so it exercises FitBest's serial snapshot/restore fallback.
+// switches to the next canned state.
 type cannedGen struct {
 	cur    *tensor.Tensor
 	states []*tensor.Tensor
@@ -58,6 +57,11 @@ func (c *cannedGen) StateTensors() []*tensor.Tensor            { return []*tenso
 func (c *cannedGen) Reseed(*rand.Rand) {
 	copy(c.cur.Data, c.states[c.next%len(c.states)].Data)
 	c.next++
+}
+func (c *cannedGen) CloneTODGen() TODGenModule {
+	clone := *c
+	clone.cur = c.cur.Clone()
+	return &clone
 }
 
 // TestFitBestSelectsPureSpeedLoss pins the winner criterion: the restart
@@ -123,7 +127,7 @@ func TestModuleWorkerEquivalence(t *testing.T) {
 	refVol := ref.PredictVolume(tod)
 	refSpeed := ref.PredictSpeed(refVol)
 	obs := fitObs(ref, 10)
-	refRec, refHist, err := ref.FitCtx(context.Background(), obs, 3, nil)
+	refRec, refHist, err := ref.FitBestCtx(context.Background(), obs, 3, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +140,7 @@ func TestModuleWorkerEquivalence(t *testing.T) {
 		if !tensor.AllClose(m.PredictSpeed(refVol), refSpeed, 0) {
 			t.Fatalf("workers=%d: MapSpeed differs from workers=1", w)
 		}
-		rec, hist, err := m.FitCtx(context.Background(), obs, 3, nil)
+		rec, hist, err := m.FitBestCtx(context.Background(), obs, 3, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,7 +24,7 @@ var ErrDiverged = errors.New("core: training diverged")
 // stage with the number of epochs done so far, the loss history, and the live
 // optimizer. Returning an error aborts the stage; the error (typically
 // ErrInterrupted) propagates to the caller with the partial history.
-type stageHook func(done int, hist []float64, opt nn.StatefulOptimizer) error
+type stageHook func(done int, hist []float64, opt *nn.Adam) error
 
 // TrainV2SCtx runs stage 1 of the Fig. 8 pipeline: fit the Volume-Speed
 // mapping on generated (volume, speed) pairs. It returns the per-epoch mean
@@ -150,30 +150,11 @@ type AuxData struct {
 	LinkWeights []float64
 }
 
-// FitCtx runs the test stage: freeze TOD-Volume and Volume-Speed, optimize
-// the TOD generator so the end-to-end speed matches the observation (Eq. 12),
-// plus any auxiliary losses (Eq. 13). It returns the recovered TOD tensor
-// and the loss history. Cancellation is observed at epoch boundaries (see
-// TrainV2SCtx).
-func (m *Model) FitCtx(ctx context.Context, speedObs *tensor.Tensor, epochs int, aux *AuxData) (*tensor.Tensor, []float64, error) {
-	restore := freezeParams(append(m.T2V.Params(), m.V2S.Params()...))
-	defer restore()
-	history, err := m.fitGen(ctx, m.TODGen, speedObs, epochs, aux)
-	if err != nil {
-		return nil, nil, err
-	}
-	return m.GenerateTOD(), history, nil
-}
-
-// fitGen optimizes one TOD generator against the observation. The frozen
-// TOD-Volume and Volume-Speed modules are only read, so multiple fitGen
-// calls on distinct generators may run concurrently (FitBestCtx restarts);
-// callers must freeze those modules' parameters first.
-func (m *Model) fitGen(ctx context.Context, gen TODGenModule, speedObs *tensor.Tensor, epochs int, aux *AuxData) ([]float64, error) {
-	return m.fitGenFrom(ctx, gen, speedObs, epochs, 0, nil, nn.NewAdam(m.Cfg.LR), aux, nil)
-}
-
-// fitGenFrom is the resumable core of fitGen (see trainV2S).
+// fitGenFrom optimizes one TOD generator against the observation, resuming
+// from start completed epochs (see trainV2S). The frozen TOD-Volume and
+// Volume-Speed modules are only read, so calls on distinct generators may run
+// concurrently (FitBestCtx restarts); callers must freeze those modules'
+// parameters first.
 func (m *Model) fitGenFrom(ctx context.Context, gen TODGenModule, speedObs *tensor.Tensor, epochs, start int, hist []float64, opt *nn.Adam, aux *AuxData, hook stageHook) ([]float64, error) {
 	if speedObs.Rank() != 2 || speedObs.Dim(0) != m.Topo.M || speedObs.Dim(1) != m.Topo.T {
 		return nil, fmt.Errorf("core: Fit observation shape %v, want [%d %d]", speedObs.Shape(), m.Topo.M, m.Topo.T)
@@ -234,7 +215,7 @@ func (m *Model) clipGrads(params []*autodiff.Parameter) float64 {
 // ctx is read exactly once per epoch and a cancelled checkpointed stage
 // always exits with its final checkpoint written. Without a hook a cancelled
 // stage returns the context's cancellation cause.
-func endEpoch(ctx context.Context, stage string, done int, hist []float64, gradNorm float64, params []*autodiff.Parameter, opt nn.StatefulOptimizer, hook stageHook) error {
+func endEpoch(ctx context.Context, stage string, done int, hist []float64, gradNorm float64, params []*autodiff.Parameter, opt *nn.Adam, hook stageHook) error {
 	if loss := hist[len(hist)-1]; !isFinite(loss) || !isFinite(gradNorm) {
 		return fmt.Errorf("%w: stage %s, epoch %d: loss %v, gradient norm %v", ErrDiverged, stage, done, loss, gradNorm)
 	}
@@ -390,22 +371,28 @@ func (m *Model) speedScore(gen TODGenModule, speedObs *tensor.Tensor, aux *AuxDa
 	return m.fitLoss(g, speed, speedObs, linkWeights).Value.Data[0]
 }
 
-// FitBestCtx runs the test-time fit from `restarts` independent TOD-generator
+// FitBestCtx runs the test stage: freeze TOD-Volume and Volume-Speed and
+// optimize the TOD generator so the end-to-end speed matches the observation
+// (Eq. 12), plus any auxiliary losses (Eq. 13). It returns the recovered TOD
+// tensor and the loss history; an observation that is not M × T is an
+// error.
+//
+// With restarts > 1 the fit runs from `restarts` independent TOD-generator
 // starts and keeps the best recovery. Each restart begins from the
 // generator's entry state with freshly drawn Gaussian seeds — the seeds for
 // all restarts are drawn serially from a single root-derived rng, so the
 // start set is identical at any worker count — and the restarts run
-// concurrently (bounded by Cfg.Workers) when the generator supports cloning.
+// concurrently on clones of the generator (bounded by Cfg.Workers).
 //
 // The winner is the restart with the lowest re-evaluated pure speed loss
 // (see speedScore), ties broken by the lowest restart index. Its generator
 // state is installed into m.TODGen before returning, so m.GenerateTOD() and
 // Model.Save afterwards agree exactly with the returned tensor.
 //
-// Cancellation is observed at restart and epoch boundaries: once ctx is
-// cancelled no new restart starts, in-flight restarts abort at their next
-// epoch boundary, and the call returns the context's cancellation cause with
-// the generator's entry state intact.
+// Cancellation is observed at restart and epoch boundaries (see
+// TrainV2SCtx): once ctx is cancelled no new restart starts, in-flight
+// restarts abort at their next epoch boundary, and the call returns the
+// context's cancellation cause with the generator's entry state intact.
 func (m *Model) FitBestCtx(ctx context.Context, speedObs *tensor.Tensor, epochs, restarts int, aux *AuxData) (*tensor.Tensor, []float64, error) {
 	return m.fitBest(ctx, speedObs, epochs, restarts, aux, nil)
 }
@@ -429,142 +416,93 @@ type restartCtl struct {
 
 // fitBest is the controllable core of FitBestCtx. With a nil ctl it behaves
 // exactly like the public method; a checkpointing caller passes a ctl to
-// restore completed restarts and record new ones. Cancellation is
+// restore completed restarts and record new ones. A single start fits
+// m.TODGen in place. Cancellation of a multi-restart fit is
 // restart-granular: a restart cut short is discarded — resume refits it from
 // its entry state — and the model keeps its entry state. With a ctl the
 // cancellation surfaces as ErrInterrupted (the checkpointed, resumable
 // form), without one as the context's cancellation cause.
 func (m *Model) fitBest(ctx context.Context, speedObs *tensor.Tensor, epochs, restarts int, aux *AuxData, ctl *restartCtl) (*tensor.Tensor, []float64, error) {
-	if restarts <= 1 {
-		return m.FitCtx(ctx, speedObs, epochs, aux)
-	}
 	restore := freezeParams(append(m.T2V.Params(), m.V2S.Params()...))
 	defer restore()
-	rng := rand.New(rand.NewSource(m.Cfg.Seed + 997))
-
-	if cl, ok := m.TODGen.(CloneableTODGen); ok {
-		// Concurrent path: every restart fits its own deep copy; the shared
-		// T2V/V2S modules are frozen, hence read-only and race-free. The
-		// reseeds for all restarts are drawn serially here, so the start set —
-		// and any checkpointed subset of it — is identical at any worker
-		// count.
-		gens := make([]TODGenModule, restarts)
-		for r := range gens {
-			gens[r] = cl.CloneTODGen()
-			if r > 0 {
-				gens[r].Reseed(rng)
-			}
+	if restarts <= 1 {
+		hist, err := m.fitGenFrom(ctx, m.TODGen, speedObs, epochs, 0, nil, nn.NewAdam(m.Cfg.LR), aux, nil)
+		if err != nil {
+			return nil, nil, err
 		}
-		hists := make([][]float64, restarts)
-		errs := make([]error, restarts)
-		skipped := make([]bool, restarts)
-		fns := make([]func(), restarts)
-		for r := range fns {
-			r := r
-			fns[r] = func() {
-				if rec, ok := restoredOf(ctl, r); ok {
-					copyStateTensors(gens[r].StateTensors(), rec.state)
-					hists[r] = rec.hist
-					return
-				}
-				if ctx.Err() != nil {
-					skipped[r] = true
-					return
-				}
-				hists[r], errs[r] = m.fitGen(ctx, gens[r], speedObs, epochs, aux)
-				if errs[r] != nil {
-					if ctx.Err() != nil {
-						skipped[r], errs[r] = true, nil
-					}
-					return
-				}
-				if ctl != nil && ctl.onDone != nil {
-					errs[r] = ctl.onDone(r, gens[r].StateTensors(), hists[r])
-				}
-			}
-		}
-		// RunCtx stops launching restarts once ctx is cancelled; restarts the
-		// pool never started are equivalent to skipped ones below.
-		runErr := parallel.RunCtx(ctx, m.Cfg.Workers, fns...)
-		interrupted := runErr != nil
-		for _, err := range errs {
-			if err != nil {
-				return nil, nil, err
-			}
-		}
-		for _, s := range skipped {
-			if s {
-				interrupted = true
-			}
-		}
-		if interrupted {
-			if ctl != nil {
-				// Checkpointed caller: surface the resumable sentinel — the
-				// completed restarts are already on disk via ctl.onDone.
-				return nil, nil, ErrInterrupted
-			}
-			return nil, nil, context.Cause(ctx)
-		}
-		best, bestScore := -1, math.Inf(1)
-		for r := range gens {
-			if score := m.speedScore(gens[r], speedObs, aux); best < 0 || score < bestScore {
-				best, bestScore = r, score
-			}
-		}
-		copyStateTensors(m.TODGen.StateTensors(), gens[best].StateTensors())
-		return m.GenerateTOD(), hists[best], nil
+		return m.GenerateTOD(), hist, nil
 	}
 
-	// Serial fallback for generators without cloning: snapshot the entry
-	// state, fit in place per restart, and restore the winner at the end.
-	// Reseed always runs — also for restored or interrupted restarts — so the
-	// reseed stream stays aligned with an uninterrupted run.
-	entry := cloneTensors(m.TODGen.StateTensors())
-	var bestState []*tensor.Tensor
-	var bestHist []float64
-	best, bestScore := -1, math.Inf(1)
-	for r := 0; r < restarts; r++ {
-		copyStateTensors(m.TODGen.StateTensors(), entry)
+	// Every restart fits its own deep copy; the shared T2V/V2S modules are
+	// frozen, hence read-only and race-free. The reseeds for all restarts are
+	// drawn serially here, so the start set — and any checkpointed subset of
+	// it — is identical at any worker count.
+	rng := rand.New(rand.NewSource(m.Cfg.Seed + 997))
+	gens := make([]TODGenModule, restarts)
+	for r := range gens {
+		gens[r] = m.TODGen.CloneTODGen()
 		if r > 0 {
-			m.TODGen.Reseed(rng)
+			gens[r].Reseed(rng)
 		}
-		var hist []float64
-		if rec, ok := restoredOf(ctl, r); ok {
-			copyStateTensors(m.TODGen.StateTensors(), rec.state)
-			hist = rec.hist
-		} else {
-			if ctx.Err() != nil {
-				copyStateTensors(m.TODGen.StateTensors(), entry)
-				if ctl != nil {
-					return nil, nil, ErrInterrupted
-				}
-				return nil, nil, context.Cause(ctx)
+	}
+	hists := make([][]float64, restarts)
+	errs := make([]error, restarts)
+	skipped := make([]bool, restarts)
+	fns := make([]func(), restarts)
+	for r := range fns {
+		r := r
+		fns[r] = func() {
+			if rec, ok := restoredOf(ctl, r); ok {
+				copyStateTensors(gens[r].StateTensors(), rec.state)
+				hists[r] = rec.hist
+				return
 			}
-			var err error
-			hist, err = m.fitGen(ctx, m.TODGen, speedObs, epochs, aux)
-			if err != nil {
+			if ctx.Err() != nil {
+				skipped[r] = true
+				return
+			}
+			hists[r], errs[r] = m.fitGenFrom(ctx, gens[r], speedObs, epochs, 0, nil, nn.NewAdam(m.Cfg.LR), aux, nil)
+			if errs[r] != nil {
 				if ctx.Err() != nil {
-					copyStateTensors(m.TODGen.StateTensors(), entry)
-					if ctl != nil {
-						return nil, nil, ErrInterrupted
-					}
+					skipped[r], errs[r] = true, nil
 				}
-				return nil, nil, err
+				return
 			}
 			if ctl != nil && ctl.onDone != nil {
-				if derr := ctl.onDone(r, m.TODGen.StateTensors(), hist); derr != nil {
-					return nil, nil, derr
-				}
+				errs[r] = ctl.onDone(r, gens[r].StateTensors(), hists[r])
 			}
 		}
-		if score := m.speedScore(m.TODGen, speedObs, aux); best < 0 || score < bestScore {
-			best, bestScore = r, score
-			bestState = cloneTensors(m.TODGen.StateTensors())
-			bestHist = hist
+	}
+	// RunCtx stops launching restarts once ctx is cancelled; restarts the
+	// pool never started are equivalent to skipped ones below.
+	runErr := parallel.RunCtx(ctx, m.Cfg.Workers, fns...)
+	interrupted := runErr != nil
+	for _, err := range errs {
+		if err != nil {
+			return nil, nil, err
 		}
 	}
-	copyStateTensors(m.TODGen.StateTensors(), bestState)
-	return m.GenerateTOD(), bestHist, nil
+	for _, s := range skipped {
+		if s {
+			interrupted = true
+		}
+	}
+	if interrupted {
+		if ctl != nil {
+			// Checkpointed caller: surface the resumable sentinel — the
+			// completed restarts are already on disk via ctl.onDone.
+			return nil, nil, ErrInterrupted
+		}
+		return nil, nil, context.Cause(ctx)
+	}
+	best, bestScore := -1, math.Inf(1)
+	for r := range gens {
+		if score := m.speedScore(gens[r], speedObs, aux); best < 0 || score < bestScore {
+			best, bestScore = r, score
+		}
+	}
+	copyStateTensors(m.TODGen.StateTensors(), gens[best].StateTensors())
+	return m.GenerateTOD(), hists[best], nil
 }
 
 // restoredOf looks up a restored restart record on an optional ctl.

@@ -92,7 +92,7 @@ func RunRoadWork(ctx context.Context, sc Scale, seed int64) (*RoadWorkResult, er
 				weights[j] = 1
 			}
 		}
-		rec, _, err := model.FitCtx(ctx, obs, sc.FitEpochs, &core.AuxData{LinkWeights: weights})
+		rec, _, err := model.FitBestCtx(ctx, obs, sc.FitEpochs, 1, &core.AuxData{LinkWeights: weights})
 		return rec, err
 	}
 	ovs1, err := fitFresh(speedRegular, seed+41)
