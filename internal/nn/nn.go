@@ -1,7 +1,7 @@
 // Package nn builds neural-network layers and optimizers on top of the
 // autodiff engine. It provides exactly the building blocks Table IV of the
 // paper requires — fully connected layers, 1×3 convolutions, LSTMs, dropout —
-// plus SGD/Adam optimizers and parameter serialization.
+// plus the Adam optimizer and parameter serialization.
 package nn
 
 import (

@@ -24,37 +24,28 @@ func optimParams(seed int64) []*autodiff.Parameter {
 }
 
 // TestOptimizersSkipFrozenParams is the regression test for the frozen-
-// parameter audit: neither SGD (plain and momentum) nor Adam may touch a
-// frozen parameter's value — or decay its state — even when a stale gradient
-// is present.
+// parameter audit: Adam may not touch a frozen parameter's value — or decay
+// its state — even when a stale gradient is present.
 func TestOptimizersSkipFrozenParams(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		opt  Optimizer
-	}{
-		{"sgd", NewSGD(0.1, 0)},
-		{"sgd-momentum", NewSGD(0.1, 0.9)},
-		{"adam", NewAdam(0.1)},
-	} {
-		params := optimParams(3)
-		params[1].SetFrozen(true)
-		frozenBefore := params[1].Value.Clone()
-		liveBefore := params[0].Value.Clone()
+	opt := NewAdam(0.1)
+	params := optimParams(3)
+	params[1].SetFrozen(true)
+	frozenBefore := params[1].Value.Clone()
+	liveBefore := params[0].Value.Clone()
 
-		tc.opt.Step(params)
-		if !tensor.AllClose(params[1].Value, frozenBefore, 0) {
-			t.Fatalf("%s: frozen parameter was updated", tc.name)
-		}
-		if tensor.AllClose(params[0].Value, liveBefore, 0) {
-			t.Fatalf("%s: live parameter was not updated", tc.name)
-		}
+	opt.Step(params)
+	if !tensor.AllClose(params[1].Value, frozenBefore, 0) {
+		t.Fatal("frozen parameter was updated")
+	}
+	if tensor.AllClose(params[0].Value, liveBefore, 0) {
+		t.Fatal("live parameter was not updated")
+	}
 
-		// Unfreezing resumes updates.
-		params[1].SetFrozen(false)
-		tc.opt.Step(params)
-		if tensor.AllClose(params[1].Value, frozenBefore, 0) {
-			t.Fatalf("%s: unfrozen parameter still not updated", tc.name)
-		}
+	// Unfreezing resumes updates.
+	params[1].SetFrozen(false)
+	opt.Step(params)
+	if tensor.AllClose(params[1].Value, frozenBefore, 0) {
+		t.Fatal("unfrozen parameter still not updated")
 	}
 }
 
@@ -251,40 +242,6 @@ func TestAdamExportImportContinuesIdentically(t *testing.T) {
 	}
 }
 
-func TestSGDExportImportContinuesIdentically(t *testing.T) {
-	cont := optimParams(12)
-	res := optimParams(12)
-	s1 := NewSGD(0.05, 0.9)
-	s2 := NewSGD(0.05, 0.9)
-	for step := 0; step < 3; step++ {
-		refreshGrads(cont, int64(200+step))
-		refreshGrads(res, int64(200+step))
-		s1.Step(cont)
-		s2.Step(res)
-	}
-	st := s2.ExportState()
-	if st.Kind != "sgd" || len(st.Slots) != 2 {
-		t.Fatalf("export = kind %q slots %d", st.Kind, len(st.Slots))
-	}
-	s3 := NewSGD(1, 0) // wrong hyperparameters on purpose
-	if err := s3.ImportState(st, res); err != nil {
-		t.Fatal(err)
-	}
-	for step := 3; step < 6; step++ {
-		refreshGrads(cont, int64(200+step))
-		refreshGrads(res, int64(200+step))
-		s1.Step(cont)
-		s3.Step(res)
-	}
-	for i := range cont {
-		for j, v := range cont[i].Value.Data {
-			if res[i].Value.Data[j] != v {
-				t.Fatalf("resumed SGD diverges on %q[%d]", cont[i].Name, j)
-			}
-		}
-	}
-}
-
 func TestOptimizerImportRejectsCorruptState(t *testing.T) {
 	ps := optimParams(13)
 	a := NewAdam(0.01)
@@ -304,13 +261,5 @@ func TestOptimizerImportRejectsCorruptState(t *testing.T) {
 		if err := fresh.ImportState(st, ps); err == nil {
 			t.Fatalf("%s: corrupt optimizer state accepted", name)
 		}
-	}
-	// SGD must reject a slot that carries a second moment.
-	s := NewSGD(0.1, 0.9)
-	bad := OptimizerState{Kind: "sgd", LR: 0.1, Slots: []SlotState{
-		{Name: "w2", M: make([]float64, 5), V: make([]float64, 5)},
-	}}
-	if err := s.ImportState(bad, ps); err == nil {
-		t.Fatal("sgd slot with a second moment accepted")
 	}
 }

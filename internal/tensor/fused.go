@@ -364,27 +364,3 @@ func adamStepRange(value, grad, m, v *Tensor, lr, beta1, beta2, eps, bc1, bc2 fl
 		value.Data[i] -= lr * mHat / (math.Sqrt(vHat) + eps)
 	}
 }
-
-// SGDMomentumStepInPlace applies one fused momentum-SGD update to value from
-// grad, using vel as the persistent velocity buffer:
-// vel = momentum*vel - lr*grad; value += vel.
-func SGDMomentumStepInPlace(value, grad, vel *Tensor, lr, momentum float64) {
-	assertSameShape("SGDMomentumStepInPlace", value, grad)
-	assertSameShape("SGDMomentumStepInPlace", value, vel)
-	n := len(value.Data)
-	if grain := elemGrain(4); n <= grain {
-		sgdMomentumStepRange(value, grad, vel, lr, momentum, 0, n)
-	} else {
-		parallel.For(n, grain, func(lo, hi int) {
-			sgdMomentumStepRange(value, grad, vel, lr, momentum, lo, hi)
-		})
-	}
-	value.NoteMutation()
-}
-
-func sgdMomentumStepRange(value, grad, vel *Tensor, lr, momentum float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		vel.Data[i] = momentum*vel.Data[i] - lr*grad.Data[i]
-		value.Data[i] += vel.Data[i]
-	}
-}

@@ -106,9 +106,6 @@ func TestPackCacheInvalidation(t *testing.T) {
 		{"AdamStepInPlace", func(b *Tensor) {
 			AdamStepInPlace(b, b.Clone(), New(k, n), New(k, n), 0.01, 0.9, 0.999, 1e-8, 1, 1)
 		}},
-		{"SGDMomentumStepInPlace", func(b *Tensor) {
-			SGDMomentumStepInPlace(b, b.Clone(), New(k, n), 0.01, 0.9)
-		}},
 		{"CopyDataFrom", func(b *Tensor) { b.CopyDataFrom(b.Clone()) }},
 	}
 	withCleanPackCache(t, func() {
