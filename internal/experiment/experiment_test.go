@@ -330,37 +330,3 @@ func TestRunNoiseRobustnessStructure(t *testing.T) {
 		t.Fatal("render missing title")
 	}
 }
-
-func TestRunSeededComparisonStructure(t *testing.T) {
-	res, err := RunSeededComparison(context.Background(), dataset.PatternGaussian, microScale(), []int64{41, 43})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 7 {
-		t.Fatalf("rows = %d, want 7", len(res.Rows))
-	}
-	for _, r := range res.Rows {
-		if r.TOD.Mean <= 0 || r.TOD.Std < 0 {
-			t.Fatalf("%s: degenerate stat %+v", r.Method, r.TOD)
-		}
-	}
-	if res.Best() == "" {
-		t.Fatal("no best method")
-	}
-	if !strings.Contains(res.Render(), "±") {
-		t.Fatal("render missing ± notation")
-	}
-}
-
-func TestMeanStd(t *testing.T) {
-	s := meanStd([]float64{2, 4, 6})
-	if s.Mean != 4 {
-		t.Fatalf("mean = %v", s.Mean)
-	}
-	if s.Std < 1.6 || s.Std > 1.7 { // population std of {2,4,6} = 1.633
-		t.Fatalf("std = %v", s.Std)
-	}
-	if z := meanStd(nil); z.Mean != 0 || z.Std != 0 {
-		t.Fatal("empty meanStd not zero")
-	}
-}
