@@ -31,44 +31,14 @@ func (m *Model) AttentionProfile(tod *tensor.Tensor, od, pos int) (*tensor.Tenso
 	return att.lagAttention(tod, od*m.Topo.K, pos), nil
 }
 
-// lagAttention recomputes the softmax lag attention for one (route, pos).
+// lagAttention recomputes the softmax lag attention for one (route, pos)
+// through the same route-split, embedding and logit steps as MapVolume
+// (inference mode).
 func (a *AttentionT2V) lagAttention(tod *tensor.Tensor, routeIdx, pos int) *tensor.Tensor {
 	g := autodiff.NewGraph()
-	topo := a.topo
-	// Recompute embeddings exactly as MapVolume does (inference mode).
-	routeRows := make([]*autodiff.Node, topo.N*topo.K)
-	todNode := g.Const(tod)
-	if topo.K == 1 {
-		for i := 0; i < topo.N; i++ {
-			routeRows[i] = autodiff.Row(todNode, i)
-		}
-	} else {
-		split := autodiff.SoftmaxRows(g.Param(a.splitLogits))
-		for i := 0; i < topo.N; i++ {
-			gi := autodiff.Row(todNode, i)
-			fr := autodiff.Row(split, i)
-			for k := 0; k < topo.K; k++ {
-				frac := autodiff.Reshape(autodiff.SliceVec(fr, k, k+1), 1, 1)
-				giMat := autodiff.Reshape(gi, 1, topo.T)
-				routeRows[i*topo.K+k] = autodiff.Reshape(autodiff.MatMul(frac, giMat), topo.T)
-			}
-		}
-	}
-	norm := 1.0 / a.cfg.MaxTrips
-	embeds := make([]*autodiff.Node, len(routeRows))
-	for r, p := range routeRows {
-		x := autodiff.Reshape(autodiff.Scale(p, norm), 1, topo.T)
-		h := a.conv1.Forward(x, false)
-		embeds[r] = a.conv2.Forward(h, false)
-	}
-	system := autodiff.Scale(autodiff.SumNodes(embeds...), 1/float64(len(embeds)))
-
-	u := autodiff.Add(embeds[routeIdx], system)
-	logits := autodiff.MatMul(g.Param(a.attW), u)
-	logits = addColVector(logits, g.Param(a.attB))
-	if pos >= a.cfg.MaxPos {
-		pos = a.cfg.MaxPos - 1
-	}
-	logits = addColVector(logits, autodiff.Row(g.Param(a.posEmb), pos))
+	defer g.Release()
+	embeds, system := a.embedRoutes(g, a.routeCounts(g, g.Const(tod)), moduleWorkers(a.cfg, false), false)
+	logits := lagLogits(autodiff.Add(embeds[routeIdx], system), g.Param(a.attW), g.Param(a.attB))
+	logits = addColVector(logits, autodiff.Row(g.Param(a.posEmb), a.posSlot(pos)))
 	return softmaxCols(logits).Value.Clone()
 }

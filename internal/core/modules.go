@@ -158,43 +158,11 @@ func NewAttentionT2V(topo *Topology, cfg Config, rng *rand.Rand) *AttentionT2V {
 // MapVolume converts a TOD node (N × T) to link volumes (M × T).
 func (a *AttentionT2V) MapVolume(g *autodiff.Graph, tod *autodiff.Node, train bool) *autodiff.Node {
 	topo := a.topo
-	// 1. OD → route trip counts (Eq. 3): a softmax split over each OD's K
-	// route slots conserves total trips across routes.
-	routeRows := make([]*autodiff.Node, topo.N*topo.K)
-	if topo.K == 1 {
-		for i := 0; i < topo.N; i++ {
-			routeRows[i] = autodiff.Row(tod, i)
-		}
-	} else {
-		split := autodiff.SoftmaxRows(g.Param(a.splitLogits)) // (N × K)
-		for i := 0; i < topo.N; i++ {
-			gi := autodiff.Row(tod, i)
-			fr := autodiff.Row(split, i) // (K)
-			for k := 0; k < topo.K; k++ {
-				frac := autodiff.SliceVec(fr, k, k+1)     // (1)
-				fracMat := autodiff.Reshape(frac, 1, 1)   // (1×1)
-				giMat := autodiff.Reshape(gi, 1, topo.T)  // (1×T)
-				scaled := autodiff.MatMul(fracMat, giMat) // (1×T)
-				routeRows[i*topo.K+k] = autodiff.Reshape(scaled, topo.T)
-			}
-		}
-	}
-
-	// 2. Per-route embeddings (Eqs. 5-6) and system embedding (Eq. 7). Each
-	// route's conv stack is an independent sub-graph, built on a forked child
-	// tape and spliced back in route order (see autodiff.ForkJoin for the
-	// determinism argument).
 	workers := moduleWorkers(a.cfg, train)
-	norm := 1.0 / a.cfg.MaxTrips
-	embeds := autodiff.ForkJoin(g, workers, len(routeRows), func(sub *autodiff.Graph, r int) *autodiff.Node {
-		x := autodiff.Reshape(autodiff.Scale(sub.Ref(routeRows[r]), norm), 1, topo.T)
-		h := a.conv1.Forward(x, train)
-		h = a.drop.Forward(h, train)
-		return a.conv2.Forward(h, train) // (C × T)
-	})
-	system := autodiff.SumNodes(embeds...)
-	// Average so the system embedding scale is route-count invariant.
-	system = autodiff.Scale(system, 1/float64(len(embeds)))
+	// 1-2. Route trip counts (Eq. 3), then per-route and system embeddings
+	// (Eqs. 5-7).
+	routeRows := a.routeCounts(g, tod)
+	embeds, system := a.embedRoutes(g, routeRows, workers, train)
 
 	// 3. Attention per (route, position) and volume assembly (Eqs. 4, 8).
 	attW := g.Param(a.attW)
@@ -211,9 +179,8 @@ func (a *AttentionT2V) MapVolume(g *autodiff.Graph, tod *autodiff.Node, train bo
 	// series (T): the gain reads the congestion-aware embedding and converts
 	// the trip-count attention output into occupancy.
 	routeHeads := autodiff.ForkJoinK(g, workers, len(routeRows), func(sub *autodiff.Graph, r int) []*autodiff.Node {
-		u := autodiff.Add(sub.Ref(embeds[r]), sub.Ref(system))                     // (C × T)
-		logits := autodiff.MatMul(sub.Ref(attW), u)                                // (W × T)
-		logits = addColVector(logits, sub.Ref(attB))                               // + b per lag row
+		u := autodiff.Add(sub.Ref(embeds[r]), sub.Ref(system)) // (C × T)
+		logits := lagLogits(u, sub.Ref(attW), sub.Ref(attB))
 		pre := addColVector(autodiff.MatMul(sub.Ref(gainW), u), sub.Ref(gainBVec)) // (1 × T)
 		gain := autodiff.Softplus(autodiff.Reshape(pre, topo.T))
 		return []*autodiff.Node{logits, gain}
@@ -229,10 +196,7 @@ func (a *AttentionT2V) MapVolume(g *autodiff.Graph, tod *autodiff.Node, train bo
 		posGainRef := sub.Ref(posGain)
 		var parts []*autodiff.Node
 		for _, inc := range incs {
-			pos := inc.pos
-			if pos >= a.cfg.MaxPos {
-				pos = a.cfg.MaxPos - 1
-			}
+			pos := a.posSlot(inc.pos)
 			pe := autodiff.Row(posEmbRef, pos) // (W)
 			logits := addColVector(sub.Ref(routeHeads[inc.route][0]), pe)
 			alpha := softmaxCols(logits) // softmax over lags per time step
@@ -246,6 +210,65 @@ func (a *AttentionT2V) MapVolume(g *autodiff.Graph, tod *autodiff.Node, train bo
 		return autodiff.SumNodes(parts...)
 	})
 	return autodiff.StackRows(volRows)
+}
+
+// routeCounts splits the TOD node into per-route trip-count rows (Eq. 3): a
+// softmax split over each OD's K route slots conserves total trips across
+// routes.
+func (a *AttentionT2V) routeCounts(g *autodiff.Graph, tod *autodiff.Node) []*autodiff.Node {
+	topo := a.topo
+	routeRows := make([]*autodiff.Node, topo.N*topo.K)
+	if topo.K == 1 {
+		for i := 0; i < topo.N; i++ {
+			routeRows[i] = autodiff.Row(tod, i)
+		}
+		return routeRows
+	}
+	split := autodiff.SoftmaxRows(g.Param(a.splitLogits)) // (N × K)
+	for i := 0; i < topo.N; i++ {
+		gi := autodiff.Row(tod, i)
+		fr := autodiff.Row(split, i) // (K)
+		for k := 0; k < topo.K; k++ {
+			frac := autodiff.SliceVec(fr, k, k+1)     // (1)
+			fracMat := autodiff.Reshape(frac, 1, 1)   // (1×1)
+			giMat := autodiff.Reshape(gi, 1, topo.T)  // (1×T)
+			scaled := autodiff.MatMul(fracMat, giMat) // (1×T)
+			routeRows[i*topo.K+k] = autodiff.Reshape(scaled, topo.T)
+		}
+	}
+	return routeRows
+}
+
+// embedRoutes builds the per-route embeddings (Eqs. 5-6) and the system
+// embedding (Eq. 7). Each route's conv stack is an independent sub-graph,
+// built on a forked child tape and spliced back in route order (see
+// autodiff.ForkJoin for the determinism argument).
+func (a *AttentionT2V) embedRoutes(g *autodiff.Graph, routeRows []*autodiff.Node, workers int, train bool) (embeds []*autodiff.Node, system *autodiff.Node) {
+	norm := 1.0 / a.cfg.MaxTrips
+	embeds = autodiff.ForkJoin(g, workers, len(routeRows), func(sub *autodiff.Graph, r int) *autodiff.Node {
+		x := autodiff.Reshape(autodiff.Scale(sub.Ref(routeRows[r]), norm), 1, a.topo.T)
+		h := a.conv1.Forward(x, train)
+		h = a.drop.Forward(h, train)
+		return a.conv2.Forward(h, train) // (C × T)
+	})
+	// Average so the system embedding scale is route-count invariant.
+	system = autodiff.Scale(autodiff.SumNodes(embeds...), 1/float64(len(embeds)))
+	return embeds, system
+}
+
+// lagLogits returns a route's lag logits attW·u + attB (Lookback × T) from
+// its congestion-aware embedding u (Eq. 8, before the positional bias).
+func lagLogits(u, attW, attB *autodiff.Node) *autodiff.Node {
+	return addColVector(autodiff.MatMul(attW, u), attB)
+}
+
+// posSlot clamps a link position along a route to the last positional
+// embedding row.
+func (a *AttentionT2V) posSlot(pos int) int {
+	if pos >= a.cfg.MaxPos {
+		return a.cfg.MaxPos - 1
+	}
+	return pos
 }
 
 // Params returns the mapping's trainable parameters.
