@@ -78,7 +78,7 @@ type Node struct {
 	a      *Node          // first operand
 	b      *Node          // second operand
 	c      *Node          // third operand (Conv1DSame bias)
-	srcs   []*Node        // variadic operands (StackRows, ConcatVec)
+	srcs   []*Node        // variadic operands (StackRows)
 	ext    *tensor.Tensor // auxiliary tensor (dropout mask)
 	x0     float64        // scalar operand (Scale factor, MulScalarNode value)
 	i0, i1 int            // integer operands (slice bounds, row index, dims)

@@ -127,7 +127,7 @@ func TestGradStructuralOps(t *testing.T) {
 	gradCheck(t, []*Parameter{a}, func(g *Graph) *Node {
 		na := g.Param(a)
 		r0, r2 := Row(na, 0), Row(na, 2)
-		stacked := StackRows([]*Node{r0, r2, SliceVec(ConcatVec(r0, r2), 2, 6)})
+		stacked := StackRows([]*Node{r0, r2, SliceVec(Reshape(StackRows([]*Node{r0, r2}), 8), 2, 6)})
 		return Mean(Mul(stacked, stacked))
 	})
 }

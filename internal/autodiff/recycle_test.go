@@ -16,7 +16,8 @@ func buildLossPass(g *Graph, p1, p2 *Parameter, x *tensor.Tensor) float64 {
 	h := Tanh(MatMul(in, g.Param(p1)))
 	rows := ForkJoin(g, 2, x.Dim(0), func(sub *Graph, i int) *Node {
 		r := Row(sub.Ref(h), i)
-		return Sigmoid(SliceVec(ConcatVec(r, r), 0, r.Value.Dim(0)))
+		n := r.Value.Dim(0)
+		return Sigmoid(SliceVec(Reshape(StackRows([]*Node{r, r}), 2*n), 0, n))
 	})
 	s := Reshape(StackRows(rows), x.Dim(0)*p1.Value.Dim(1))
 	v := MatMul(Reshape(s, 1, s.Value.Dim(0)), g.Param(p2))

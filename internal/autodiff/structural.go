@@ -103,46 +103,6 @@ func StackRows(rows []*Node) *Node {
 	return out
 }
 
-func backConcatVec(out *Node) {
-	off := 0
-	for _, p := range out.srcs {
-		n := p.Value.Dim(0)
-		if p.requires {
-			gp := p.ensureGrad()
-			for j := 0; j < n; j++ {
-				gp.Data[j] += out.Grad.Data[off+j]
-			}
-		}
-		off += n
-	}
-}
-
-// ConcatVec concatenates rank-1 nodes into one long rank-1 node.
-func ConcatVec(parts ...*Node) *Node {
-	if len(parts) == 0 {
-		panic("autodiff: ConcatVec requires at least one part")
-	}
-	g := sameGraph("ConcatVec", parts...)
-	total := 0
-	req := false
-	for _, p := range parts {
-		if p.Value.Rank() != 1 {
-			panic(fmt.Sprintf("autodiff: ConcatVec requires rank-1 parts, got %v", p.Value.Shape()))
-		}
-		total += p.Value.Dim(0)
-		req = req || p.requires
-	}
-	val := g.Alloc(total)
-	off := 0
-	for _, p := range parts {
-		copy(val.Data[off:], p.Value.Data)
-		off += p.Value.Dim(0)
-	}
-	out := g.newNode(val, req)
-	out.backFn, out.srcs = backConcatVec, parts
-	return out
-}
-
 func backSliceVec(out *Node) {
 	if out.a.requires {
 		ga := out.a.ensureGrad()

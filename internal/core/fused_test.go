@@ -73,27 +73,27 @@ func TestFitBestFusedEquivalence(t *testing.T) {
 }
 
 // TestResumePackCacheEquivalence is the pack-cache invalidation regression
-// test: with every product forced through the blocked path (so the cache
-// serves all weight panels), a run that is killed and resumed — which
-// restores parameters in place over cached pack sources — must reproduce the
-// uninterrupted run exactly. A missed invalidation anywhere in the restore
-// path would feed stale panels to the first post-resume epoch and diverge.
+// test: with the LSTM wide enough that its weight products take the blocked
+// path (so the cache serves their panels), a run that is killed and resumed
+// — which restores parameters in place over cached pack sources — must
+// reproduce the uninterrupted run exactly. A missed invalidation anywhere in
+// the restore path would feed stale panels to the first post-resume epoch
+// and diverge.
 func TestResumePackCacheEquivalence(t *testing.T) {
-	oldThresh := tensor.SetGEMMBlockedThreshold(1)
-	defer tensor.SetGEMMBlockedThreshold(oldThresh)
-	tensor.FlushPackCache()
-	defer tensor.FlushPackCache()
-
 	topo := testTopo(t, 4, 1)
 	cfg := ckptTestConfig(2, 1)
+	// At the topology's T = 4, the second LSTM's input product is
+	// 4·64·(4·64) = 65 536 scalar ops, the blocked-GEMM threshold.
+	cfg.LSTMHidden = 64
 	samples := poolingSamples(topo, 3)
 
+	before := tensor.PackCacheStatsSnapshot().Hits
 	ref, _ := referenceTrainFull(t, topo, cfg, samples)
 	dir := t.TempDir()
 	got, _ := interruptedTrainFull(t, topo, cfg, samples, dir, false)
 	requireSameResult(t, "pack cache resume", ref, got)
 
-	if st := tensor.PackCacheStatsSnapshot(); st.Hits == 0 {
+	if after := tensor.PackCacheStatsSnapshot().Hits; after == before {
 		t.Fatal("pack cache never hit: the test no longer exercises cached packs")
 	}
 }

@@ -11,32 +11,25 @@ import (
 // zero-allocation training path. The *To kernels write into a caller-provided
 // output (typically a tensor carved from a tape region), the *Acc kernels accumulate a backward
 // rule directly into a gradient without materializing intermediates, and the
-// *InPlace kernels fuse optimizer updates. Every kernel partitions work over
-// output indices with the per-index computation fixed, so results are
-// bitwise-identical at any worker count (see ops.go).
+// *InPlace kernels fuse optimizer updates.
 //
-// Each kernel checks its size against the parallel grain before constructing
-// the parallel.For closure: a closure passed to another function escapes to
-// the heap, so small inputs — the common case in the training hot loop — take
-// a branch to an explicit serial loop instead and allocate nothing.
+// Every kernel here is a plain serial loop except AdamStepInPlace, which,
+// like the blocked GEMM (gemm.go), splits its work over output indices with
+// the per-index computation fixed, so results are bitwise-identical at any
+// worker count. It checks its size against the parallel grain before
+// constructing the parallel.For closure: a closure passed to another function
+// escapes to the heap, so small parameter tensors take an explicit serial
+// loop instead and allocate nothing.
 
 // AddTo computes dst = a + b elementwise and returns dst. dst may alias a or
 // b. Shapes must match.
 func AddTo(dst, a, b *Tensor) *Tensor {
 	assertSameShape("AddTo", a, b)
 	assertSameShape("AddTo", dst, a)
-	if n := len(dst.Data); n <= parMinWork {
-		addToRange(dst, a, b, 0, n)
-	} else {
-		parallel.For(n, parMinWork, func(lo, hi int) { addToRange(dst, a, b, lo, hi) })
-	}
-	return dst
-}
-
-func addToRange(dst, a, b *Tensor, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	for i := range dst.Data {
 		dst.Data[i] = a.Data[i] + b.Data[i]
 	}
+	return dst
 }
 
 // SubTo computes dst = a - b elementwise and returns dst. dst may alias a or
@@ -44,18 +37,10 @@ func addToRange(dst, a, b *Tensor, lo, hi int) {
 func SubTo(dst, a, b *Tensor) *Tensor {
 	assertSameShape("SubTo", a, b)
 	assertSameShape("SubTo", dst, a)
-	if n := len(dst.Data); n <= parMinWork {
-		subToRange(dst, a, b, 0, n)
-	} else {
-		parallel.For(n, parMinWork, func(lo, hi int) { subToRange(dst, a, b, lo, hi) })
-	}
-	return dst
-}
-
-func subToRange(dst, a, b *Tensor, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	for i := range dst.Data {
 		dst.Data[i] = a.Data[i] - b.Data[i]
 	}
+	return dst
 }
 
 // MulTo computes the elementwise product dst = a * b and returns dst. dst may
@@ -63,72 +48,29 @@ func subToRange(dst, a, b *Tensor, lo, hi int) {
 func MulTo(dst, a, b *Tensor) *Tensor {
 	assertSameShape("MulTo", a, b)
 	assertSameShape("MulTo", dst, a)
-	if n := len(dst.Data); n <= parMinWork {
-		mulToRange(dst, a, b, 0, n)
-	} else {
-		parallel.For(n, parMinWork, func(lo, hi int) { mulToRange(dst, a, b, lo, hi) })
-	}
-	return dst
-}
-
-func mulToRange(dst, a, b *Tensor, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	for i := range dst.Data {
 		dst.Data[i] = a.Data[i] * b.Data[i]
 	}
+	return dst
 }
 
 // ScaleTo computes dst = a * s elementwise and returns dst. dst may alias a.
 func ScaleTo(dst, a *Tensor, s float64) *Tensor {
 	assertSameShape("ScaleTo", dst, a)
-	if n := len(dst.Data); n <= parMinWork {
-		scaleToRange(dst, a, s, 0, n)
-	} else {
-		parallel.For(n, parMinWork, func(lo, hi int) { scaleToRange(dst, a, s, lo, hi) })
+	for i, x := range a.Data {
+		dst.Data[i] = x * s
 	}
 	return dst
-}
-
-func scaleToRange(dst, a *Tensor, s float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		dst.Data[i] = a.Data[i] * s
-	}
 }
 
 // AddScalarTo computes dst = a + s elementwise and returns dst. dst may
 // alias a.
 func AddScalarTo(dst, a *Tensor, s float64) *Tensor {
 	assertSameShape("AddScalarTo", dst, a)
-	if n := len(dst.Data); n <= parMinWork {
-		addScalarToRange(dst, a, s, 0, n)
-	} else {
-		parallel.For(n, parMinWork, func(lo, hi int) { addScalarToRange(dst, a, s, lo, hi) })
+	for i, x := range a.Data {
+		dst.Data[i] = x + s
 	}
 	return dst
-}
-
-func addScalarToRange(dst, a *Tensor, s float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		dst.Data[i] = a.Data[i] + s
-	}
-}
-
-// AxpyTo computes the fused add-scale dst = a + alpha*b and returns dst. dst
-// may alias a or b. Shapes must match.
-func AxpyTo(dst, a *Tensor, alpha float64, b *Tensor) *Tensor {
-	assertSameShape("AxpyTo", a, b)
-	assertSameShape("AxpyTo", dst, a)
-	if n := len(dst.Data); n <= parMinWork {
-		axpyToRange(dst, a, alpha, b, 0, n)
-	} else {
-		parallel.For(n, parMinWork, func(lo, hi int) { axpyToRange(dst, a, alpha, b, lo, hi) })
-	}
-	return dst
-}
-
-func axpyToRange(dst, a *Tensor, alpha float64, b *Tensor, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		dst.Data[i] = a.Data[i] + alpha*b.Data[i]
-	}
 }
 
 // ScaleInPlace multiplies every element of t by s and returns t.
@@ -198,20 +140,12 @@ func TransposeTo(dst, a *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: TransposeTo shape mismatch %v = %vᵀ", dst.shape, a.shape))
 	}
 	m, n := a.shape[0], a.shape[1]
-	if grain := elemGrain(n); m <= grain {
-		transposeToRange(dst, a, m, n, 0, m)
-	} else {
-		parallel.For(m, grain, func(lo, hi int) { transposeToRange(dst, a, m, n, lo, hi) })
-	}
-	return dst
-}
-
-func transposeToRange(dst, a *Tensor, m, n, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			dst.Data[j*m+i] = a.Data[i*n+j]
 		}
 	}
+	return dst
 }
 
 // TransposeAcc accumulates dst += aᵀ for rank-2 tensors. It fuses the
@@ -221,21 +155,13 @@ func TransposeAcc(dst, a *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: TransposeAcc shape mismatch %v += %vᵀ", dst.shape, a.shape))
 	}
 	m, n := dst.shape[0], dst.shape[1]
-	if grain := elemGrain(n); m <= grain {
-		transposeAccRange(dst, a, m, n, 0, m)
-	} else {
-		parallel.For(m, grain, func(lo, hi int) { transposeAccRange(dst, a, m, n, lo, hi) })
-	}
-	return dst
-}
-
-func transposeAccRange(dst, a *Tensor, m, n, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	for i := 0; i < m; i++ {
 		drow := dst.Data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
+		for j := range drow {
 			drow[j] += a.Data[j*m+i]
 		}
 	}
+	return dst
 }
 
 // AddRowVectorTo computes dst = a + v broadcast over rows, where a and dst
@@ -344,7 +270,8 @@ func AdamStepInPlace(value, grad, m, v *Tensor, lr, beta1, beta2, eps, bc1, bc2 
 	assertSameShape("AdamStepInPlace", value, m)
 	assertSameShape("AdamStepInPlace", value, v)
 	n := len(value.Data)
-	if grain := elemGrain(8); n <= grain {
+	// One element's update costs about 8 scalar ops.
+	if grain := parMinWork / 8; n <= grain {
 		adamStepRange(value, grad, m, v, lr, beta1, beta2, eps, bc1, bc2, 0, n)
 	} else {
 		parallel.For(n, grain, func(lo, hi int) {

@@ -75,18 +75,6 @@ const (
 // sequence, so the dispatch never affects results, only speed.
 var gemmBlockedMin = parMinWork
 
-// SetGEMMBlockedThreshold sets the m·n·k scalar-op count at which products
-// switch from the naive kernels to the packed blocked core, returning the
-// previous value. Both paths are bitwise-identical, so this is purely a
-// tuning (and testing) knob — tests in other packages use a threshold of 1
-// to force every product, however small, through the blocked path and the
-// pack cache. Not safe to call concurrently with running products.
-func SetGEMMBlockedThreshold(v int) int {
-	old := gemmBlockedMin
-	gemmBlockedMin = v
-	return old
-}
-
 // gemmView addresses a logical matrix inside a flat slice: element (i, j)
 // lives at data[i*rs + j*cs]. A transposed operand is expressed by swapping
 // the strides, which confines transposition to packing arithmetic.
@@ -111,19 +99,11 @@ func gemm(dst []float64, ldc int, a, b gemmView, m, n, k int, acc bool, bsrc *Te
 	if acc {
 		sd := Default.take(m * n)
 		gemmBlocked(sd, n, a, b, m, n, k, bsrc)
-		if ldc == n {
-			parallel.For(m*n, parMinWork, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					dst[i] += sd[i]
-				}
-			})
-		} else {
-			for i := 0; i < m; i++ {
-				crow := dst[i*ldc : i*ldc+n]
-				srow := sd[i*n : (i+1)*n]
-				for j := range crow {
-					crow[j] += srow[j]
-				}
+		for i := 0; i < m; i++ {
+			crow := dst[i*ldc : i*ldc+n]
+			srow := sd[i*n : (i+1)*n]
+			for j := range crow {
+				crow[j] += srow[j]
 			}
 		}
 		Default.put(sd)

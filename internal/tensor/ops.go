@@ -3,30 +3,14 @@ package tensor
 import (
 	"fmt"
 	"math"
-
-	"ovs/internal/parallel"
 )
 
-// parMinWork is the minimum number of scalar operations a parallel chunk
-// should carry. Loops smaller than one chunk run serially inline (the
-// parallel.For chunk count is 1), so small tensors pay no goroutine
-// overhead. Partitioning is always over output indices/rows with the
-// per-index computation unchanged, which keeps every parallel kernel
-// bitwise-identical to its serial form at any worker count.
+// parMinWork is the minimum number of scalar operations worth splitting
+// across workers: products below it run the naive GEMM kernels and smaller
+// Adam steps run serially. Partitioning is always over output indices/rows
+// with the per-index computation unchanged, which keeps every parallel
+// kernel bitwise-identical to its serial form at any worker count.
 const parMinWork = 1 << 16
-
-// elemGrain returns the chunk size for an elementwise loop of the given
-// per-index cost (in scalar ops).
-func elemGrain(perIndex int) int {
-	if perIndex < 1 {
-		perIndex = 1
-	}
-	g := parMinWork / perIndex
-	if g < 1 {
-		g = 1
-	}
-	return g
-}
 
 // Add returns a + b elementwise. Shapes must match.
 func Add(a, b *Tensor) *Tensor {
@@ -51,42 +35,24 @@ func Scale(a *Tensor, s float64) *Tensor {
 	return ScaleTo(New(a.shape...), a, s)
 }
 
-// AddInPlace accumulates b into a (a += b) and returns a. Like the fused
-// kernels, it branches to a plain serial loop below the parallel grain so
-// small tensors never construct the parallel.For closure.
+// AddInPlace accumulates b into a (a += b) and returns a.
 func AddInPlace(a, b *Tensor) *Tensor {
 	assertSameShape("AddInPlace", a, b)
-	if n := len(a.Data); n <= parMinWork {
-		addInPlaceRange(a, b, 0, n)
-	} else {
-		parallel.For(n, parMinWork, func(lo, hi int) { addInPlaceRange(a, b, lo, hi) })
+	for i, x := range b.Data {
+		a.Data[i] += x
 	}
 	a.NoteMutation()
 	return a
-}
-
-func addInPlaceRange(a, b *Tensor, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		a.Data[i] += b.Data[i]
-	}
 }
 
 // AxpyInPlace computes a += alpha*b and returns a.
 func AxpyInPlace(a *Tensor, alpha float64, b *Tensor) *Tensor {
 	assertSameShape("AxpyInPlace", a, b)
-	if n := len(a.Data); n <= parMinWork {
-		axpyInPlaceRange(a, alpha, b, 0, n)
-	} else {
-		parallel.For(n, parMinWork, func(lo, hi int) { axpyInPlaceRange(a, alpha, b, lo, hi) })
+	for i, x := range b.Data {
+		a.Data[i] += alpha * x
 	}
 	a.NoteMutation()
 	return a
-}
-
-func axpyInPlaceRange(a *Tensor, alpha float64, b *Tensor, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		a.Data[i] += alpha * b.Data[i]
-	}
 }
 
 // MatMul returns the matrix product of two rank-2 tensors: (m×k)·(k×n)→(m×n).
@@ -116,16 +82,7 @@ func MatVec(a, v *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatVec dimensions differ: %v x %v", a.shape, v.shape))
 	}
 	out := New(m)
-	if grain := elemGrain(k); m <= grain {
-		matVecRange(out, a, v, k, 0, m)
-	} else {
-		parallel.For(m, grain, func(lo, hi int) { matVecRange(out, a, v, k, lo, hi) })
-	}
-	return out
-}
-
-func matVecRange(out, a, v *Tensor, k, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	for i := range out.Data {
 		row := a.Data[i*k : (i+1)*k]
 		s := 0.0
 		for j, rv := range row {
@@ -133,6 +90,7 @@ func matVecRange(out, a, v *Tensor, k, lo, hi int) {
 		}
 		out.Data[i] = s
 	}
+	return out
 }
 
 // Transpose returns the transpose of a rank-2 tensor.
@@ -140,10 +98,7 @@ func Transpose(a *Tensor) *Tensor {
 	if a.Rank() != 2 {
 		panic(fmt.Sprintf("tensor: Transpose requires rank-2, got %v", a.shape))
 	}
-	m, n := a.shape[0], a.shape[1]
-	// TransposeTo partitions over input rows: row i fills column i of the
-	// output, so chunks write disjoint cells.
-	return TransposeTo(New(n, m), a)
+	return TransposeTo(New(a.shape[1], a.shape[0]), a)
 }
 
 // AddRowVector adds vector v (length n) to every row of a (m×n).
@@ -195,40 +150,6 @@ func (t *Tensor) Min() float64 {
 	return m
 }
 
-// SumRows returns, for a rank-2 tensor (m×n), a length-n vector holding the
-// sum over rows (i.e., column sums).
-func SumRows(a *Tensor) *Tensor {
-	if a.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: SumRows requires rank-2, got %v", a.shape))
-	}
-	m, n := a.shape[0], a.shape[1]
-	out := New(n)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			out.Data[j] += a.Data[i*n+j]
-		}
-	}
-	return out
-}
-
-// SumCols returns, for a rank-2 tensor (m×n), a length-m vector holding the
-// sum over columns (i.e., row sums).
-func SumCols(a *Tensor) *Tensor {
-	if a.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: SumCols requires rank-2, got %v", a.shape))
-	}
-	m, n := a.shape[0], a.shape[1]
-	out := New(m)
-	for i := 0; i < m; i++ {
-		s := 0.0
-		for j := 0; j < n; j++ {
-			s += a.Data[i*n+j]
-		}
-		out.Data[i] = s
-	}
-	return out
-}
-
 // Row returns a copy of row i of a rank-2 tensor as a rank-1 tensor.
 func (t *Tensor) Row(i int) *Tensor {
 	if t.Rank() != 2 {
@@ -246,35 +167,6 @@ func (t *Tensor) SetRow(i int, v *Tensor) {
 		panic(fmt.Sprintf("tensor: SetRow shape mismatch %v row <- %v", t.shape, v.shape))
 	}
 	copy(t.Data[i*t.shape[1]:(i+1)*t.shape[1]], v.Data)
-}
-
-// Softmax returns the softmax of a rank-1 tensor, computed stably.
-func Softmax(v *Tensor) *Tensor {
-	if v.Rank() != 1 {
-		panic(fmt.Sprintf("tensor: Softmax requires rank-1, got %v", v.shape))
-	}
-	out := New(v.shape...)
-	max := v.Max()
-	sum := 0.0
-	for i, x := range v.Data {
-		e := math.Exp(x - max)
-		out.Data[i] = e
-		sum += e
-	}
-	for i := range out.Data {
-		out.Data[i] /= sum
-	}
-	return out
-}
-
-// Dot returns the inner product of two rank-1 tensors of equal length.
-func Dot(a, b *Tensor) float64 {
-	assertSameShape("Dot", a, b)
-	s := 0.0
-	for i := range a.Data {
-		s += a.Data[i] * b.Data[i]
-	}
-	return s
 }
 
 // Norm2 returns the Euclidean norm of the tensor's elements.

@@ -236,9 +236,9 @@ func setPackCacheCapacity(bytes int64) {
 	c.mu.Unlock()
 }
 
-// FlushPackCache drops every cached pack (tests use it to reset state; a
+// flushPackCache drops every cached pack (tests use it to reset state; a
 // long-lived process never needs to).
-func FlushPackCache() {
+func flushPackCache() {
 	c := &packs
 	c.mu.Lock()
 	c.flushLocked()

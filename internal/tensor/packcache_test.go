@@ -11,11 +11,11 @@ import (
 // nor leave residue.
 func withCleanPackCache(t *testing.T, fn func()) {
 	t.Helper()
-	FlushPackCache()
+	flushPackCache()
 	setPackCaching(true)
 	setPackCacheCapacity(packCacheDefaultCap)
 	defer func() {
-		FlushPackCache()
+		flushPackCache()
 		setPackCaching(true)
 		setPackCacheCapacity(packCacheDefaultCap)
 	}()
@@ -81,7 +81,7 @@ func TestPackCacheBitwiseAllOrientations(t *testing.T) {
 						t.Fatalf("(%d,%d,%d) pass %d: cached MatMulTNAcc differs from uncached", m, n, k, pass)
 					}
 				}
-				FlushPackCache()
+				flushPackCache()
 			}
 		})
 	})
@@ -132,7 +132,7 @@ func TestPackCacheInvalidation(t *testing.T) {
 				if !bitwiseEqual(got, want) {
 					t.Fatalf("%s: product after mutation used stale pack", mu.name)
 				}
-				FlushPackCache()
+				flushPackCache()
 			}
 		})
 	})
@@ -221,17 +221,17 @@ func TestPackCachePoolRecycleClearsPackable(t *testing.T) {
 			}
 			w.MarkPackable()
 			MatMul(a, w) // caches w's packed panels under (w, version)
-			v := w.Version()
+			v := w.version
 			r.Reset()
 
 			got := r.Alloc(16, 16)
 			if got != w {
 				t.Fatal("Reset did not reuse the header")
 			}
-			if got.Packable() {
+			if got.packable {
 				t.Fatal("reused header still packable")
 			}
-			if got.Version() == v {
+			if got.version == v {
 				t.Fatal("reused header kept its version")
 			}
 			for i := range got.Data {
@@ -278,7 +278,7 @@ func TestPackCacheParallelStress(t *testing.T) {
 					for i := 0; i < 50; i++ {
 						switch {
 						case w == 0 && i%10 == 5:
-							FlushPackCache()
+							flushPackCache()
 						case w == 1 && i%10 == 7:
 							setPackCacheCapacity(packCacheDefaultCap)
 						default:

@@ -8,7 +8,7 @@ import (
 	"ovs/internal/parallel"
 )
 
-// workerCounts are the settings every kernel is checked at; 1 is the exact
+// workerCounts are the settings the GEMM is checked at; 1 is the exact
 // serial fallback, the rest exercise real concurrency.
 func workerCounts() []int {
 	return []int{1, 2, runtime.GOMAXPROCS(0)}
@@ -38,33 +38,4 @@ func TestMatMulParallelEquivalence(t *testing.T) {
 	a := RandUniform(rng, -1, 1, 50, 60)
 	b := RandUniform(rng, -1, 1, 60, 70)
 	withWorkers(t, func() *Tensor { return MatMul(a, b) })
-}
-
-func TestMatVecParallelEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	// 5000 rows at ~37 flops each spans several chunks of elemGrain(37).
-	a := RandUniform(rng, -1, 1, 5000, 37)
-	v := RandUniform(rng, -1, 1, 37)
-	withWorkers(t, func() *Tensor { return MatVec(a, v) })
-}
-
-func TestTransposeParallelEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	// 2000 rows of width 97 spans several chunks of elemGrain(97).
-	a := RandUniform(rng, -1, 1, 2000, 97)
-	withWorkers(t, func() *Tensor { return Transpose(a) })
-}
-
-func TestElementwiseParallelEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	// Above parMinWork elements so the loops actually chunk.
-	n := 1<<17 + 13
-	a := RandUniform(rng, -1, 1, n)
-	b := RandUniform(rng, -1, 1, n)
-	withWorkers(t, func() *Tensor { return Add(a, b) })
-	withWorkers(t, func() *Tensor { return Sub(a, b) })
-	withWorkers(t, func() *Tensor { return Mul(a, b) })
-	withWorkers(t, func() *Tensor { return Scale(a, 1.7) })
-	withWorkers(t, func() *Tensor { return AddInPlace(a.Clone(), b) })
-	withWorkers(t, func() *Tensor { return AxpyInPlace(a.Clone(), -0.3, b) })
 }

@@ -70,17 +70,17 @@ func TestRegionReusedPackableHeaderBumpsVersion(t *testing.T) {
 	a := r.Alloc(16, 16)
 	a.MarkPackable()
 	a.NoteMutation()
-	v := a.Version()
+	v := a.version
 	r.Reset()
 	b := r.Alloc(16, 16)
 	if b != a {
 		t.Fatal("Reset did not reuse the header")
 	}
-	if b.Packable() {
+	if b.packable {
 		t.Fatal("reused header still packable")
 	}
-	if b.Version() <= v {
-		t.Fatalf("reused header version %d did not move past %d", b.Version(), v)
+	if b.version <= v {
+		t.Fatalf("reused header version %d did not move past %d", b.version, v)
 	}
 }
 

@@ -38,12 +38,6 @@ type Tensor struct {
 // would leave stale panels in the cache.
 func (t *Tensor) MarkPackable() { t.packable = true }
 
-// Packable reports whether t was marked packable.
-func (t *Tensor) Packable() bool { return t.packable }
-
-// Version returns t's mutation counter (always 0 for non-packable tensors).
-func (t *Tensor) Version() uint64 { return t.version }
-
 // NoteMutation records an in-place mutation of t's data, invalidating any
 // cached packed panels. It is a no-op for non-packable tensors, so mutating
 // kernels call it unconditionally.
