@@ -130,16 +130,9 @@ func readObservation(path string) (*tensor.Tensor, error) {
 }
 
 func run(ctx context.Context, cityName string, train bool, modelPath, fitPath, outPath, scaleName string, seed int64, ckptDir string, ckptEvery int, resume bool) error {
-	var sc experiment.Scale
-	switch scaleName {
-	case "test":
-		sc = experiment.TestScale()
-	case "quick":
-		sc = experiment.QuickScale()
-	case "full":
-		sc = experiment.FullScale()
-	default:
-		return fmt.Errorf("unknown scale %q", scaleName)
+	sc, err := experiment.ScaleByName(scaleName)
+	if err != nil {
+		return err
 	}
 	if resume && ckptDir == "" {
 		return fmt.Errorf("-resume requires -checkpoint-dir")

@@ -54,20 +54,12 @@ func main() {
 }
 
 func run(ctx context.Context, cityName, patternName, method, scaleName string, seed int64, ckptDir string, ckptEvery int, resume bool) error {
-	var sc experiment.Scale
-	switch scaleName {
-	case "test":
-		sc = experiment.TestScale()
-	case "quick":
-		sc = experiment.QuickScale()
-	case "full":
-		sc = experiment.FullScale()
-	default:
-		return fmt.Errorf("unknown scale %q", scaleName)
+	sc, err := experiment.ScaleByName(scaleName)
+	if err != nil {
+		return err
 	}
 
 	var env *experiment.Env
-	var err error
 	switch {
 	case cityName != "":
 		city, cerr := dataset.ByName(cityName, dataset.CityOptions{ODPairs: sc.ODPairs, Seed: seed})

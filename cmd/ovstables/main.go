@@ -48,16 +48,9 @@ func main() {
 
 	parallel.SetWorkers(*workers)
 
-	var sc experiment.Scale
-	switch *scaleName {
-	case "test":
-		sc = experiment.TestScale()
-	case "quick":
-		sc = experiment.QuickScale()
-	case "full":
-		sc = experiment.FullScale()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scaleName)
+	sc, err := experiment.ScaleByName(*scaleName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		stopProfiles()
 		os.Exit(2)
 	}

@@ -260,6 +260,14 @@ func TestScalePresets(t *testing.T) {
 	if FullScale().Samples <= QuickScale().Samples {
 		t.Fatal("FullScale should be larger than QuickScale")
 	}
+	for name, want := range map[string]Scale{"test": TestScale(), "quick": QuickScale(), "full": FullScale()} {
+		if got, err := ScaleByName(name); err != nil || got != want {
+			t.Fatalf("ScaleByName(%q) = %+v, %v; want %+v", name, got, err, want)
+		}
+	}
+	if _, err := ScaleByName("huge"); err == nil {
+		t.Fatal("ScaleByName accepted an unknown name")
+	}
 }
 
 func TestRunRouteChoiceStructure(t *testing.T) {

@@ -6,6 +6,8 @@
 // table mirroring the paper's layout.
 package experiment
 
+import "fmt"
+
 // Scale bundles the effort knobs of every experiment so the same harness can
 // run as a seconds-scale smoke test or a minutes-scale full reproduction.
 type Scale struct {
@@ -93,4 +95,18 @@ func FullScale() Scale {
 	s.EMIterations = 20
 	s.NNEpochs, s.LSTMEpochs = 100, 80
 	return s
+}
+
+// ScaleByName returns the preset named test, quick or full.
+func ScaleByName(name string) (Scale, error) {
+	switch name {
+	case "test":
+		return TestScale(), nil
+	case "quick":
+		return QuickScale(), nil
+	case "full":
+		return FullScale(), nil
+	default:
+		return Scale{}, fmt.Errorf("experiment: unknown scale %q", name)
+	}
 }
