@@ -13,13 +13,14 @@ import (
 // rule directly into a gradient without materializing intermediates, and the
 // *InPlace kernels fuse optimizer updates.
 //
-// Every kernel here is a plain serial loop except AdamStepInPlace, which,
-// like the blocked GEMM (gemm.go), splits its work over output indices with
-// the per-index computation fixed, so results are bitwise-identical at any
-// worker count. It checks its size against the parallel grain before
-// constructing the parallel.For closure: a closure passed to another function
-// escapes to the heap, so small parameter tensors take an explicit serial
-// loop instead and allocate nothing.
+// Besides the MatMul* entry points, which run the blocked GEMM (gemm.go),
+// only AdamStepInPlace splits its work; every other kernel here is a plain
+// serial loop. Adam partitions output indices with the per-index
+// computation fixed, so results are bitwise-identical at any worker count.
+// It checks its size against the parallel grain before constructing the
+// parallel.For closure: a closure passed to another function escapes to the
+// heap, so small parameter tensors take an explicit serial loop instead and
+// allocate nothing.
 
 // AddTo computes dst = a + b elementwise and returns dst. dst may alias a or
 // b. Shapes must match.
