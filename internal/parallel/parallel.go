@@ -79,39 +79,13 @@ func ForWorkers(workers, n, grain int, fn func(lo, hi int)) {
 		grain = 1
 	}
 	chunks := (n + grain - 1) / grain
-	workers = Resolve(workers)
-	if workers > chunks {
-		workers = chunks
-	}
+	workers = min(Resolve(workers), chunks)
 	if workers <= 1 {
 		fn(0, n)
 		return
 	}
-	var next atomic.Int64
-	work := func() {
-		for {
-			c := int(next.Add(1)) - 1
-			if c >= chunks {
-				return
-			}
-			lo := c * grain
-			hi := lo + grain
-			if hi > n {
-				hi = n
-			}
-			fn(lo, hi)
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
+	s := &loop{fn: fn, n: n, grain: grain, chunks: chunks}
+	s.run(workers)
 }
 
 // ForWorkersCtx is ForWorkers with cooperative cancellation. Cancellation is
@@ -136,52 +110,64 @@ func ForWorkersCtx(ctx context.Context, workers, n, grain int, fn func(lo, hi in
 	if grain < 1 {
 		grain = 1
 	}
-	chunks := (n + grain - 1) / grain
-	workers = Resolve(workers)
-	if workers > chunks {
-		workers = chunks
-	}
-	done := ctx.Done()
-	var cancelled atomic.Bool
-	var next atomic.Int64
-	work := func() {
-		for {
-			select {
-			case <-done:
-				cancelled.Store(true)
-				return
-			default:
-			}
-			c := int(next.Add(1)) - 1
-			if c >= chunks {
-				return
-			}
-			lo := c * grain
-			hi := lo + grain
-			if hi > n {
-				hi = n
-			}
-			fn(lo, hi)
-		}
-	}
-	if workers <= 1 {
-		work()
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(workers - 1)
-		for w := 1; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				work()
-			}()
-		}
-		work()
-		wg.Wait()
-	}
-	if cancelled.Load() {
+	s := &loop{fn: fn, n: n, grain: grain, chunks: (n + grain - 1) / grain, done: ctx.Done()}
+	s.run(min(Resolve(workers), s.chunks))
+	if s.cancelled.Load() {
 		return context.Cause(ctx)
 	}
 	return nil
+}
+
+// loop is the shared state of one ForWorkers(Ctx) call, kept in a single
+// allocation: the helpers are all started from one method value, so a call
+// allocates the same small amount at every worker count.
+type loop struct {
+	fn               func(lo, hi int)
+	n, grain, chunks int
+	next             atomic.Int64
+	done             <-chan struct{} // nil: not cancellable
+	cancelled        atomic.Bool
+	wg               sync.WaitGroup
+}
+
+// run executes the chunks on the calling goroutine plus workers-1 helpers
+// and joins them all.
+func (s *loop) run(workers int) {
+	if workers > 1 {
+		s.wg.Add(workers - 1)
+		help := s.help
+		for w := 1; w < workers; w++ {
+			go help()
+		}
+	}
+	s.work()
+	s.wg.Wait()
+}
+
+func (s *loop) help() {
+	defer s.wg.Done()
+	s.work()
+}
+
+// work claims chunks off the shared counter until none are left or
+// cancellation is observed.
+func (s *loop) work() {
+	for {
+		if s.done != nil {
+			select {
+			case <-s.done:
+				s.cancelled.Store(true)
+				return
+			default:
+			}
+		}
+		c := int(s.next.Add(1)) - 1
+		if c >= s.chunks {
+			return
+		}
+		lo := c * s.grain
+		s.fn(lo, min(lo+s.grain, s.n))
+	}
 }
 
 // RunCtx executes the given functions, at most `workers` concurrently (0 =
