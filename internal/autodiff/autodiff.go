@@ -73,8 +73,10 @@ type Node struct {
 
 	// backFn accumulates into the operands' Grad; nil for leaves. It is
 	// always a package-level function (never a closure), so recording an op
-	// allocates nothing beyond the slab entry.
-	backFn func(out *Node)
+	// allocates nothing beyond the slab entry. tape is the graph that new
+	// gradient buffers and scratch come from: the tape itself in a serial
+	// sweep, the span's own child in a parallel replay (replay.go).
+	backFn func(out *Node, tape *Graph)
 	a      *Node          // first operand
 	b      *Node          // second operand
 	c      *Node          // third operand (Conv1DSame bias)
@@ -82,15 +84,21 @@ type Node struct {
 	ext    *tensor.Tensor // auxiliary tensor (dropout mask)
 	x0     float64        // scalar operand (Scale factor, MulScalarNode value)
 	i0, i1 int            // integer operands (slice bounds, row index, dims)
+	pos    int            // position on the tape; Join renumbers it
 }
 
 // Graph is a tape of nodes in forward (topological) order.
 //
 // A tape is strictly single-writer: exactly one goroutine may record nodes on
-// it at any moment. Concurrent graph construction goes through Fork/Join (see
+// it at any moment. Concurrent graph construction goes through ForkJoin (see
 // parallel.go) — each worker records onto its own child tape and the children
 // are spliced back deterministically. add enforces the rule with a cheap
 // tripwire that panics on detected concurrent appends.
+//
+// Backward is not single-threaded: the spliced child spans of one ForkJoin
+// replay concurrently, each carving its gradient buffers from its own child,
+// in an order that keeps every gradient bit equal to the serial sweep (see
+// replay.go).
 //
 // Graphs recycle: Reset rewinds the tape's region and returns every node slab
 // to the pool, so per-epoch loops reuse one graph instead of reallocating the
@@ -114,6 +122,13 @@ type Graph struct {
 	full    [][]Node
 	// children pools consumed child tapes for reuse by the next Fork.
 	children []*Graph
+
+	// spans and groups record the fork groups join spliced into the tape:
+	// groups[k] owns spans[first:last], in tape order (replay.go).
+	spans  []forkSpan
+	groups []forkGroup
+	// gate is the scratch of a parallel group replay, kept across passes.
+	gate gate
 }
 
 // NewGraph returns an empty tape.
@@ -131,7 +146,7 @@ func (g *Graph) add(n *Node) *Node {
 	if !g.busy.CompareAndSwap(false, true) {
 		panic("autodiff: concurrent append to a single-writer graph (use Fork/Join for parallel construction)")
 	}
-	n.graph = g
+	n.graph, n.pos = g, len(g.nodes)
 	g.nodes = append(g.nodes, n)
 	g.busy.Store(false)
 	return n
@@ -157,16 +172,23 @@ func (g *Graph) Const(t *tensor.Tensor) *Node {
 }
 
 // ensureGrad allocates the node's gradient buffer on first use. It carves from
-// the graph's region, so gradient buffers recycle with the tape.
-func (n *Node) ensureGrad() *tensor.Tensor {
+// tape's region, so gradient buffers recycle with the tape (a fork child's
+// region rewinds with its parent's Reset).
+func (n *Node) ensureGrad(tape *Graph) *tensor.Tensor {
 	if n.Grad == nil {
-		n.Grad = n.graph.AllocLike(n.Value)
+		n.Grad = tape.AllocLike(n.Value)
 	}
 	return n.Grad
 }
 
 // Backward runs reverse-mode differentiation from the given scalar output
 // node. It panics if out is not scalar (shape [1]) or does not belong to g.
+//
+// The sweep visits the tape in reverse. Each fork group that ForkJoin
+// spliced in with more than one worker replays its child spans concurrently
+// (replay.go); every gradient element still receives the same adds, in the
+// same order, as in the serial sweep, so the result is bitwise independent
+// of the worker count.
 func (g *Graph) Backward(out *Node) {
 	if out.graph != g {
 		panic("autodiff: Backward on node from a different graph")
@@ -174,12 +196,26 @@ func (g *Graph) Backward(out *Node) {
 	if out.Value.Size() != 1 {
 		panic(fmt.Sprintf("autodiff: Backward requires a scalar output, got shape %v", out.Value.Shape()))
 	}
-	out.ensureGrad()
+	out.ensureGrad(g)
 	out.Grad.Data[0] = 1
-	for i := len(g.nodes) - 1; i >= 0; i-- {
+	hi := len(g.nodes)
+	for k := len(g.groups) - 1; k >= 0; k-- {
+		grp := &g.groups[k]
+		lo, end := g.spans[grp.first].start, g.spans[grp.last-1].end
+		g.sweep(end, hi, g)
+		g.replay(grp)
+		hi = lo
+	}
+	g.sweep(0, hi, g)
+}
+
+// sweep runs the backward rules of tape positions [lo, hi) in reverse,
+// carving new gradient buffers from tape.
+func (g *Graph) sweep(lo, hi int, tape *Graph) {
+	for i := hi - 1; i >= lo; i-- {
 		n := g.nodes[i]
 		if n.backFn != nil && n.requires && n.Grad != nil {
-			n.backFn(n)
+			n.backFn(n, tape)
 		}
 	}
 }
@@ -210,12 +246,12 @@ func sameGraph(op string, nodes ...*Node) *Graph {
 
 // ---- Elementwise binary operations ----
 
-func backAdd(out *Node) {
+func backAdd(out *Node, tape *Graph) {
 	if out.a.requires {
-		tensor.AddInPlace(out.a.ensureGrad(), out.Grad)
+		tensor.AddInPlace(out.a.ensureGrad(tape), out.Grad)
 	}
 	if out.b.requires {
-		tensor.AddInPlace(out.b.ensureGrad(), out.Grad)
+		tensor.AddInPlace(out.b.ensureGrad(tape), out.Grad)
 	}
 }
 
@@ -228,12 +264,12 @@ func Add(a, b *Node) *Node {
 	return out
 }
 
-func backSub(out *Node) {
+func backSub(out *Node, tape *Graph) {
 	if out.a.requires {
-		tensor.AddInPlace(out.a.ensureGrad(), out.Grad)
+		tensor.AddInPlace(out.a.ensureGrad(tape), out.Grad)
 	}
 	if out.b.requires {
-		tensor.AxpyInPlace(out.b.ensureGrad(), -1, out.Grad)
+		tensor.AxpyInPlace(out.b.ensureGrad(tape), -1, out.Grad)
 	}
 }
 
@@ -246,16 +282,16 @@ func Sub(a, b *Node) *Node {
 	return out
 }
 
-func backMul(out *Node) {
+func backMul(out *Node, tape *Graph) {
 	a, b := out.a, out.b
 	if a.requires {
-		ga := a.ensureGrad()
+		ga := a.ensureGrad(tape)
 		for i := range ga.Data {
 			ga.Data[i] += out.Grad.Data[i] * b.Value.Data[i]
 		}
 	}
 	if b.requires {
-		gb := b.ensureGrad()
+		gb := b.ensureGrad(tape)
 		for i := range gb.Data {
 			gb.Data[i] += out.Grad.Data[i] * a.Value.Data[i]
 		}
@@ -271,9 +307,9 @@ func Mul(a, b *Node) *Node {
 	return out
 }
 
-func backScale(out *Node) {
+func backScale(out *Node, tape *Graph) {
 	if out.a.requires {
-		tensor.AxpyInPlace(out.a.ensureGrad(), out.x0, out.Grad)
+		tensor.AxpyInPlace(out.a.ensureGrad(tape), out.x0, out.Grad)
 	}
 }
 
@@ -289,9 +325,9 @@ func Scale(a *Node, s float64) *Node {
 // backPassthrough accumulates the output gradient into the sole operand
 // unchanged. Shared by AddScalar, Ref, and any other identity-gradient op
 // whose operand has the same shape as the output.
-func backPassthrough(out *Node) {
+func backPassthrough(out *Node, tape *Graph) {
 	if out.a.requires {
-		tensor.AddInPlace(out.a.ensureGrad(), out.Grad)
+		tensor.AddInPlace(out.a.ensureGrad(tape), out.Grad)
 	}
 }
 
@@ -306,14 +342,14 @@ func AddScalar(a *Node, s float64) *Node {
 
 // ---- Linear algebra ----
 
-func backMatMul(out *Node) {
+func backMatMul(out *Node, tape *Graph) {
 	// dL/dA = dL/dOut · Bᵀ ; dL/dB = Aᵀ · dL/dOut — fused, no transpose
 	// or product temporaries.
 	if out.a.requires {
-		tensor.MatMulNTAcc(out.a.ensureGrad(), out.Grad, out.b.Value)
+		tensor.MatMulNTAcc(out.a.ensureGrad(tape), out.Grad, out.b.Value)
 	}
 	if out.b.requires {
-		tensor.MatMulTNAcc(out.b.ensureGrad(), out.a.Value, out.Grad)
+		tensor.MatMulTNAcc(out.b.ensureGrad(tape), out.a.Value, out.Grad)
 	}
 }
 
@@ -332,12 +368,12 @@ func MatMul(a, b *Node) *Node {
 	return out
 }
 
-func backAddRowVector(out *Node) {
+func backAddRowVector(out *Node, tape *Graph) {
 	if out.a.requires {
-		tensor.AddInPlace(out.a.ensureGrad(), out.Grad)
+		tensor.AddInPlace(out.a.ensureGrad(tape), out.Grad)
 	}
 	if out.b.requires {
-		gv := out.b.ensureGrad()
+		gv := out.b.ensureGrad(tape)
 		m, n := out.Grad.Dim(0), out.Grad.Dim(1)
 		for i := 0; i < m; i++ {
 			for j := 0; j < n; j++ {
@@ -356,9 +392,9 @@ func AddRowVector(a, v *Node) *Node {
 	return out
 }
 
-func backTranspose(out *Node) {
+func backTranspose(out *Node, tape *Graph) {
 	if out.a.requires {
-		tensor.TransposeAcc(out.a.ensureGrad(), out.Grad)
+		tensor.TransposeAcc(out.a.ensureGrad(tape), out.Grad)
 	}
 }
 
@@ -376,9 +412,9 @@ func Transpose(a *Node) *Node {
 
 // ---- Activations ----
 
-func backSigmoid(out *Node) {
+func backSigmoid(out *Node, tape *Graph) {
 	if out.a.requires {
-		tensor.SigmoidBackwardAcc(out.a.ensureGrad(), out.Grad, out.Value)
+		tensor.SigmoidBackwardAcc(out.a.ensureGrad(tape), out.Grad, out.Value)
 	}
 }
 
@@ -391,9 +427,9 @@ func Sigmoid(a *Node) *Node {
 	return out
 }
 
-func backTanh(out *Node) {
+func backTanh(out *Node, tape *Graph) {
 	if out.a.requires {
-		tensor.TanhBackwardAcc(out.a.ensureGrad(), out.Grad, out.Value)
+		tensor.TanhBackwardAcc(out.a.ensureGrad(tape), out.Grad, out.Value)
 	}
 }
 
@@ -406,9 +442,9 @@ func Tanh(a *Node) *Node {
 	return out
 }
 
-func backReLU(out *Node) {
+func backReLU(out *Node, tape *Graph) {
 	if out.a.requires {
-		ga := out.a.ensureGrad()
+		ga := out.a.ensureGrad(tape)
 		for i := range ga.Data {
 			if out.a.Value.Data[i] > 0 {
 				ga.Data[i] += out.Grad.Data[i]
@@ -426,9 +462,9 @@ func ReLU(a *Node) *Node {
 	return out
 }
 
-func backSqrt(out *Node) {
+func backSqrt(out *Node, tape *Graph) {
 	if out.a.requires {
-		ga := out.a.ensureGrad()
+		ga := out.a.ensureGrad(tape)
 		for i := range ga.Data {
 			ga.Data[i] += out.Grad.Data[i] * 0.5 / out.Value.Data[i]
 		}
@@ -445,9 +481,9 @@ func Sqrt(a *Node) *Node {
 	return out
 }
 
-func backSoftplus(out *Node) {
+func backSoftplus(out *Node, tape *Graph) {
 	if out.a.requires {
-		ga := out.a.ensureGrad()
+		ga := out.a.ensureGrad(tape)
 		for i := range ga.Data {
 			ga.Data[i] += out.Grad.Data[i] / (1 + math.Exp(-out.a.Value.Data[i]))
 		}
@@ -464,13 +500,13 @@ func Softplus(a *Node) *Node {
 	return out
 }
 
-func backMulScalarNode(out *Node) {
+func backMulScalarNode(out *Node, tape *Graph) {
 	a, s := out.a, out.b
 	if a.requires {
-		tensor.AxpyInPlace(a.ensureGrad(), out.x0, out.Grad)
+		tensor.AxpyInPlace(a.ensureGrad(tape), out.x0, out.Grad)
 	}
 	if s.requires {
-		gs := s.ensureGrad()
+		gs := s.ensureGrad(tape)
 		for i := range out.Grad.Data {
 			gs.Data[0] += out.Grad.Data[i] * a.Value.Data[i]
 		}
@@ -490,12 +526,12 @@ func MulScalarNode(a, s *Node) *Node {
 	return out
 }
 
-func backSoftmaxRows(out *Node) {
+func backSoftmaxRows(out *Node, tape *Graph) {
 	if !out.a.requires {
 		return
 	}
 	rows, cols := out.i0, out.i1
-	ga := out.a.ensureGrad()
+	ga := out.a.ensureGrad(tape)
 	for r := 0; r < rows; r++ {
 		// dx_i = s_i * (dy_i - Σ_j dy_j s_j)
 		dot := 0.0
@@ -546,9 +582,9 @@ func SoftmaxRows(a *Node) *Node {
 	return out
 }
 
-func backDropout(out *Node) {
+func backDropout(out *Node, tape *Graph) {
 	if out.a.requires {
-		ga := out.a.ensureGrad()
+		ga := out.a.ensureGrad(tape)
 		for i := range ga.Data {
 			ga.Data[i] += out.Grad.Data[i] * out.ext.Data[i]
 		}

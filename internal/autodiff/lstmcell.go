@@ -147,7 +147,7 @@ func LSTMCell(pre *Node, t int, prev *Node, wh *Node, hidden int) *Node {
 // Every "0 +" below marks a point where the graph path materializes an
 // intermediate gradient by accumulating into a freshly zeroed buffer; the add
 // flushes a negative zero to +0 exactly as the unfused accumulation does.
-func backLSTMCell(out *Node) {
+func backLSTMCell(out *Node, tape *Graph) {
 	prev, pre, wh := out.a, out.b, out.c
 	hidden, t := out.i1, out.i0
 	h4 := 4 * hidden
@@ -160,7 +160,7 @@ func backLSTMCell(out *Node) {
 	dcAcc := ext[6*hidden : 7*hidden]
 	grad := out.Grad.Data
 
-	zero, dgd := out.graph.lstmScratch(hidden)
+	zero, dgd := tape.lstmScratch(hidden)
 	hPrev, cPrev := zero, zero
 	var prevDc []float64
 	if prev != nil {
@@ -194,16 +194,16 @@ func backLSTMCell(out *Node) {
 	// dh(t-1) += dgates·Whᵀ — skipped at t=0, where the unfused path's h(0)
 	// is a gradient-free Const leaf.
 	if prev != nil && prev.requires {
-		tensor.MatVecNTAcc(prev.ensureGrad().Data, dgd, wh.Value.Data, hidden, h4)
+		tensor.MatVecNTAcc(prev.ensureGrad(tape).Data, dgd, wh.Value.Data, hidden, h4)
 	}
 	// dWh += h(t-1)ᵀ·dgates — at t=0 h(t-1) is the zero vector and the
 	// unfused path still accumulates the ±0 products; reproduce that rather
 	// than skip it.
 	if wh.requires {
-		tensor.OuterAccFMA(wh.ensureGrad().Data, hPrev, dgd, hidden, h4)
+		tensor.OuterAccFMA(wh.ensureGrad(tape).Data, hPrev, dgd, hidden, h4)
 	}
 	if pre.requires {
-		prow := pre.ensureGrad().Data[t*h4 : (t+1)*h4]
+		prow := pre.ensureGrad(tape).Data[t*h4 : (t+1)*h4]
 		for j, v := range dgd[:h4] {
 			prow[j] += v
 		}

@@ -164,3 +164,117 @@ func TestForkJoinRegionStress(t *testing.T) {
 		g.Release()
 	}
 }
+
+// TestParallelBackwardMatchesSerial pins the parallel replay of fork groups
+// bit for bit: every parameter and input gradient, at several worker counts,
+// must equal both Workers = 1 and a build that records the same computation
+// straight onto the parent tape. The graph exercises every kind of shared
+// write the replay orders:
+//
+//   - child-recorded Param leaves, with an LSTMCell chain per child so that
+//     OuterAccFMA accumulates into the shared Wh gradient;
+//   - Ref passthroughs into parent nodes;
+//   - a parent operand mixed into a child op directly;
+//   - an empty span (a child that returns a parent node);
+//   - a child output that gets no gradient;
+//   - pooled children reused by the next, consecutive group, whose spans
+//     Ref the first group's outputs.
+//
+// Two passes over one recycled graph check that the replay scratch resets.
+func TestParallelBackwardMatchesSerial(t *testing.T) {
+	const hidden, steps, in = 3, 4, 2
+	const nA, nB = 7, 4
+	const empty, dead = 3, 5
+	rng := rand.New(rand.NewSource(5))
+	init := map[string]*tensor.Tensor{
+		"x":  tensor.RandUniform(rng, -1, 1, steps, in),
+		"w":  tensor.RandUniform(rng, -1, 1, steps, in),
+		"wx": tensor.RandUniform(rng, -0.5, 0.5, in, 4*hidden),
+		"wh": tensor.RandUniform(rng, -0.5, 0.5, hidden, 4*hidden),
+		"b":  tensor.RandUniform(rng, -0.5, 0.5, 4*hidden),
+		"v":  tensor.RandUniform(rng, -1, 1, 1),
+	}
+	names := []string{"x", "w", "wx", "wh", "b", "v"}
+	xs := make([]*tensor.Tensor, nA)
+	for i := range xs {
+		xs[i] = tensor.RandUniform(rng, -1, 1, steps, in)
+	}
+
+	// run returns the loss followed by every parameter gradient and the
+	// gradients of the two parent input nodes; workers = 0 builds unforked.
+	run := func(workers int) []*tensor.Tensor {
+		ps := make(map[string]*Parameter, len(init))
+		for _, name := range names {
+			ps[name] = NewParameter(name, init[name].Clone())
+		}
+		g := NewGraph()
+		defer g.Release()
+		var got []*tensor.Tensor
+		for pass := 0; pass < 2; pass++ {
+			g.Reset()
+			for _, p := range ps {
+				p.ZeroGrad()
+			}
+			x := Tanh(g.Param(ps["x"])) // a parent input node
+			w := g.Param(ps["w"])
+			base := Scale(x, 2)
+			fork := func(n int, build func(sub *Graph, i int) *Node) []*Node {
+				if workers > 0 {
+					return ForkJoin(g, workers, n, build)
+				}
+				outs := make([]*Node, n)
+				for i := range outs {
+					outs[i] = build(g, i)
+				}
+				return outs
+			}
+			outsA := fork(nA, func(sub *Graph, i int) *Node {
+				if i == empty {
+					return base
+				}
+				xin := Mul(sub.Ref(x), sub.Const(xs[i]))
+				mixed := Mul(w, xin) // w stays on the parent tape
+				pre := AddRowVector(MatMul(mixed, sub.Param(ps["wx"])), sub.Param(ps["b"]))
+				wh := sub.Param(ps["wh"])
+				hs := make([]*Node, steps)
+				var h *Node
+				for s := range hs {
+					h = LSTMCell(pre, s, h, wh, hidden)
+					hs[s] = h
+				}
+				return Sum(StackRows(hs))
+			})
+			outsB := fork(nB, func(sub *Graph, i int) *Node {
+				return MulScalarNode(Sum(sub.Ref(outsA[i])), sub.Param(ps["v"]))
+			})
+			var terms []*Node
+			for i, o := range outsA {
+				if i != dead {
+					terms = append(terms, Sum(o))
+				}
+			}
+			loss := Add(SumNodes(terms...), SumNodes(outsB...))
+			g.Backward(loss)
+			got = []*tensor.Tensor{loss.Value.Clone()}
+			for _, name := range names {
+				got = append(got, ps[name].Grad.Clone())
+			}
+			got = append(got, x.Grad.Clone(), base.Grad.Clone())
+		}
+		return got
+	}
+
+	unforked, serial := run(0), run(1)
+	labels := append(append([]string{"loss"}, names...), "x node", "base node")
+	for _, workers := range []int{1, 2, 3, 8} {
+		got := run(workers)
+		for k, label := range labels {
+			if i, ok := bitsEqual(got[k].Data, serial[k].Data); !ok {
+				t.Errorf("workers=%d: %s differs from workers=1 at %d: %v vs %v", workers, label, i, got[k].Data[i], serial[k].Data[i])
+			}
+			if i, ok := bitsEqual(got[k].Data, unforked[k].Data); !ok {
+				t.Errorf("workers=%d: %s differs from the unforked build at %d: %v vs %v", workers, label, i, got[k].Data[i], unforked[k].Data[i])
+			}
+		}
+	}
+}

@@ -98,6 +98,9 @@ func (g *Graph) Reset() {
 		g.nodes[i] = nil
 	}
 	g.nodes = g.nodes[:0]
+	clear(g.spans)
+	g.spans = g.spans[:0]
+	g.groups = g.groups[:0]
 	g.region.Reset()
 	for _, c := range g.children {
 		c.region.Reset()

@@ -148,17 +148,17 @@ func TestResetReclaimsOwnedTensors(t *testing.T) {
 	g.Release()
 }
 
-// TestForkPoolingReusesChildren checks that Join parks child tapes for the
+// TestForkPoolingReusesChildren checks that join parks child tapes for the
 // next Fork instead of leaking them.
 func TestForkPoolingReusesChildren(t *testing.T) {
 	g := NewGraph()
 	defer g.Release()
 	sub := g.Fork()
 	sub.Const(tensor.New(1))
-	g.Join(sub)
+	g.join(1, []*Graph{sub})
 	sub2 := g.Fork()
 	if sub2 != sub {
 		t.Fatal("Fork did not reuse the pooled child tape")
 	}
-	g.Join(sub2)
+	g.join(1, []*Graph{sub2})
 }

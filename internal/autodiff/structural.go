@@ -6,9 +6,9 @@ import (
 	"ovs/internal/tensor"
 )
 
-func backSum(out *Node) {
+func backSum(out *Node, tape *Graph) {
 	if out.a.requires {
-		ga := out.a.ensureGrad()
+		ga := out.a.ensureGrad(tape)
 		gr := out.Grad.Data[0]
 		for i := range ga.Data {
 			ga.Data[i] += gr
@@ -42,9 +42,9 @@ func MSE(pred *Node, target *tensor.Tensor) *Node {
 	return Mean(Mul(diff, diff))
 }
 
-func backRow(out *Node) {
+func backRow(out *Node, tape *Graph) {
 	if out.a.requires {
-		ga := out.a.ensureGrad()
+		ga := out.a.ensureGrad(tape)
 		i, n := out.i0, out.Value.Dim(0)
 		for j := 0; j < n; j++ {
 			ga.Data[i*n+j] += out.Grad.Data[j]
@@ -66,13 +66,13 @@ func Row(a *Node, i int) *Node {
 	return out
 }
 
-func backStackRows(out *Node) {
+func backStackRows(out *Node, tape *Graph) {
 	n := out.Value.Dim(1)
 	for i, r := range out.srcs {
 		if !r.requires {
 			continue
 		}
-		gr := r.ensureGrad()
+		gr := r.ensureGrad(tape)
 		for j := 0; j < n; j++ {
 			gr.Data[j] += out.Grad.Data[i*n+j]
 		}
@@ -103,9 +103,9 @@ func StackRows(rows []*Node) *Node {
 	return out
 }
 
-func backSliceVec(out *Node) {
+func backSliceVec(out *Node, tape *Graph) {
 	if out.a.requires {
-		ga := out.a.ensureGrad()
+		ga := out.a.ensureGrad(tape)
 		lo, hi := out.i0, out.i1
 		for j := lo; j < hi; j++ {
 			ga.Data[j] += out.Grad.Data[j-lo]
@@ -143,9 +143,9 @@ func SumNodes(parts ...*Node) *Node {
 	return out
 }
 
-func backReshape(out *Node) {
+func backReshape(out *Node, tape *Graph) {
 	if out.a.requires {
-		ga := out.a.ensureGrad()
+		ga := out.a.ensureGrad(tape)
 		for i := range ga.Data {
 			ga.Data[i] += out.Grad.Data[i]
 		}
@@ -168,11 +168,11 @@ func Reshape(a *Node, shape ...int) *Node {
 	return out
 }
 
-func backLagAttend(out *Node) {
+func backLagAttend(out *Node, tape *Graph) {
 	alpha, p := out.a, out.b
 	w, tt := alpha.Value.Dim(0), alpha.Value.Dim(1)
 	if alpha.requires {
-		ga := alpha.ensureGrad()
+		ga := alpha.ensureGrad(tape)
 		for t := 0; t < tt; t++ {
 			for lag := 0; lag < w && lag <= t; lag++ {
 				ga.Data[lag*tt+t] += out.Grad.Data[t] * p.Value.Data[t-lag]
@@ -180,7 +180,7 @@ func backLagAttend(out *Node) {
 		}
 	}
 	if p.requires {
-		gp := p.ensureGrad()
+		gp := p.ensureGrad(tape)
 		for t := 0; t < tt; t++ {
 			for lag := 0; lag < w && lag <= t; lag++ {
 				gp.Data[t-lag] += out.Grad.Data[t] * alpha.Value.Data[lag*tt+t]
@@ -218,7 +218,7 @@ func LagAttend(alpha, p *Node) *Node {
 	return out
 }
 
-func backConv1DSame(out *Node) {
+func backConv1DSame(out *Node, tape *Graph) {
 	x, kernels, bias := out.a, out.b, out.c
 	cin, tt := x.Value.Dim(0), x.Value.Dim(1)
 	cout, k := kernels.Value.Dim(0), kernels.Value.Dim(2)
@@ -231,7 +231,7 @@ func backConv1DSame(out *Node) {
 				continue
 			}
 			if bias.requires {
-				bias.ensureGrad().Data[co] += gOut
+				bias.ensureGrad(tape).Data[co] += gOut
 			}
 			for ci := 0; ci < cin; ci++ {
 				for kk := 0; kk < k; kk++ {
@@ -240,10 +240,10 @@ func backConv1DSame(out *Node) {
 						continue
 					}
 					if kernels.requires {
-						kernels.ensureGrad().Data[(co*cin+ci)*k+kk] += gOut * x.Value.Data[ci*tt+src]
+						kernels.ensureGrad(tape).Data[(co*cin+ci)*k+kk] += gOut * x.Value.Data[ci*tt+src]
 					}
 					if x.requires {
-						x.ensureGrad().Data[ci*tt+src] += gOut * kernels.Value.Data[(co*cin+ci)*k+kk]
+						x.ensureGrad(tape).Data[ci*tt+src] += gOut * kernels.Value.Data[(co*cin+ci)*k+kk]
 					}
 				}
 			}
