@@ -150,6 +150,9 @@ func (c *Checkpointer) TrainMappings(ctx context.Context, samples []Sample, v2sE
 // mid-fit is discarded and refitted on resume from its recorded entry
 // state, so the outcome is unchanged).
 func (c *Checkpointer) FitBest(ctx context.Context, speedObs *tensor.Tensor, epochs, restarts int, aux *AuxData) (*tensor.Tensor, []float64, error) {
+	if err := c.m.checkObservation(speedObs); err != nil {
+		return nil, nil, err
+	}
 	if restarts <= 1 {
 		restore := freezeParams(append(c.m.T2V.Params(), c.m.V2S.Params()...))
 		defer restore()

@@ -45,10 +45,14 @@ type incidence struct {
 }
 
 // NewTopology computes k-shortest routes for each OD node pair and indexes
-// link incidences. pairs holds (origin node, destination node) per OD.
+// link incidences. pairs holds (origin node, destination node) per OD. No
+// pairs, or t ≤ 0 intervals, fail with ErrInvalidInput.
 func NewTopology(net *roadnet.Network, pairs [][2]int, t, k int) (*Topology, error) {
 	if t <= 0 {
-		return nil, fmt.Errorf("core: topology requires T > 0")
+		return nil, fmt.Errorf("%w: topology requires T > 0, got %d", ErrInvalidInput, t)
+	}
+	if len(pairs) == 0 {
+		return nil, fmt.Errorf("%w: topology requires at least one OD pair", ErrInvalidInput)
 	}
 	if k <= 0 {
 		k = 1

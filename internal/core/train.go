@@ -20,6 +20,13 @@ import (
 // returned error wraps ErrDiverged with the stage and the 1-based epoch.
 var ErrDiverged = errors.New("core: training diverged")
 
+// ErrInvalidInput is returned, wrapped with the offending detail, when an
+// input cannot be trained or fitted on: a topology without OD pairs or
+// intervals, or a speed observation of the wrong shape or with a non-finite
+// cell. It is raised before any epoch runs, so nothing is trained and no
+// checkpoint is written.
+var ErrInvalidInput = errors.New("core: invalid input")
+
 // stageHook is called after every completed epoch of a resumable training
 // stage with the number of epochs done so far, the loss history, and the live
 // optimizer. Returning an error aborts the stage; the error (typically
@@ -150,15 +157,13 @@ type AuxData struct {
 	LinkWeights []float64
 }
 
-// fitGenFrom optimizes one TOD generator against the observation, resuming
-// from start completed epochs (see trainV2S). The frozen TOD-Volume and
+// fitGenFrom optimizes one TOD generator against the observation, which the
+// caller has checked with checkObservation, resuming from start completed
+// epochs (see trainV2S). The frozen TOD-Volume and
 // Volume-Speed modules are only read, so calls on distinct generators may run
 // concurrently (FitBestCtx restarts); callers must freeze those modules'
 // parameters first.
 func (m *Model) fitGenFrom(ctx context.Context, gen TODGenModule, speedObs *tensor.Tensor, epochs, start int, hist []float64, opt *nn.Adam, aux *AuxData, hook stageHook) ([]float64, error) {
-	if speedObs.Rank() != 2 || speedObs.Dim(0) != m.Topo.M || speedObs.Dim(1) != m.Topo.T {
-		return nil, fmt.Errorf("core: Fit observation shape %v, want [%d %d]", speedObs.Shape(), m.Topo.M, m.Topo.T)
-	}
 	params := gen.Params()
 	history := hist
 	g := autodiff.NewGraph()
@@ -189,6 +194,20 @@ func (m *Model) fitGenFrom(ctx context.Context, gen TODGenModule, speedObs *tens
 		}
 	}
 	return history, nil
+}
+
+// checkObservation rejects a speed observation that is not M × T or holds a
+// non-finite cell, naming the first bad cell in link-major order.
+func (m *Model) checkObservation(speedObs *tensor.Tensor) error {
+	if speedObs.Rank() != 2 || speedObs.Dim(0) != m.Topo.M || speedObs.Dim(1) != m.Topo.T {
+		return fmt.Errorf("%w: speed observation shape %v, want [%d %d]", ErrInvalidInput, speedObs.Shape(), m.Topo.M, m.Topo.T)
+	}
+	for k, v := range speedObs.Data {
+		if !isFinite(v) {
+			return fmt.Errorf("%w: speed observation at link %d, interval %d is %v", ErrInvalidInput, k/m.Topo.T, k%m.Topo.T, v)
+		}
+	}
+	return nil
 }
 
 // clipGrads applies Cfg.GradClip and returns the step's pre-clip gradient
@@ -374,8 +393,8 @@ func (m *Model) speedScore(gen TODGenModule, speedObs *tensor.Tensor, aux *AuxDa
 // FitBestCtx runs the test stage: freeze TOD-Volume and Volume-Speed and
 // optimize the TOD generator so the end-to-end speed matches the observation
 // (Eq. 12), plus any auxiliary losses (Eq. 13). It returns the recovered TOD
-// tensor and the loss history; an observation that is not M × T is an
-// error.
+// tensor and the loss history. An observation that is not M × T, or that
+// holds a NaN or infinite cell, fails with ErrInvalidInput before any epoch.
 //
 // With restarts > 1 the fit runs from `restarts` independent TOD-generator
 // starts and keeps the best recovery. Each restart begins from the
@@ -423,6 +442,9 @@ type restartCtl struct {
 // cancellation surfaces as ErrInterrupted (the checkpointed, resumable
 // form), without one as the context's cancellation cause.
 func (m *Model) fitBest(ctx context.Context, speedObs *tensor.Tensor, epochs, restarts int, aux *AuxData, ctl *restartCtl) (*tensor.Tensor, []float64, error) {
+	if err := m.checkObservation(speedObs); err != nil {
+		return nil, nil, err
+	}
 	restore := freezeParams(append(m.T2V.Params(), m.V2S.Params()...))
 	defer restore()
 	if restarts <= 1 {
