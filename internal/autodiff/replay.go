@@ -45,7 +45,10 @@ import (
 // Span membership is decided by tape position (Node.pos), never by the child
 // graph, because Fork reuses parked children across the groups of one
 // forward pass. A span's new gradient buffers and LSTM scratch come from the
-// child that recorded it; no two spans of a group share a child.
+// child that recorded it; no two spans of a group share a child. Before a
+// span starts, its child's region reserves room for every gradient buffer the
+// span may carve, counted from the span's nodes, so the replay keeps the
+// memory of the serial sweep instead of one doubled chunk per child.
 
 // forkSpan is one child's contribution to the tape: positions [start, end),
 // recorded on sub.
@@ -78,11 +81,14 @@ type gateEvent struct {
 }
 
 // cursor is a span's replay position: the next tape position to run and the
-// span's remaining wait and signal events.
+// span's remaining wait and signal events. need is how many floats of
+// gradient buffers the span may carve, reserved in its child's region before
+// it starts.
 type cursor struct {
 	span        *forkSpan
 	i           int
 	waits, sigs []gateEvent
+	need        int
 }
 
 // gate is the replay scratch of one graph, reused across groups and passes.
@@ -99,6 +105,7 @@ type gate struct {
 	// and sigs[at[v]:at[v+1]], each in descending pos order.
 	waits, sigs []gateEvent
 	at          []int
+	need        []int
 
 	// Scheduling, by visiting order v (span n-1-v). Guarded by mu, as are
 	// passed and every cursor not held by a worker.
@@ -198,6 +205,10 @@ func (gt *gate) unpark(d int32) int {
 func (g *Graph) advance(v int) {
 	gt := &g.gate
 	c := &gt.cur[v]
+	if c.need > 0 {
+		c.span.sub.region.Reserve(c.need)
+		c.need = 0
+	}
 	for i := c.i; i >= c.span.start; i-- {
 		if len(c.waits) > 0 && c.waits[0].pos == i {
 			gt.mu.Lock()
@@ -262,6 +273,7 @@ func (gt *gate) plan(nodes []*Node, spans []forkSpan) {
 	gt.lastSpan, gt.entry = gt.lastSpan[:0], gt.entry[:0]
 	gt.waits, gt.sigs = gt.waits[:0], gt.sigs[:0]
 	gt.at = slices.Grow(gt.at[:0], len(spans)+1)[:len(spans)+1]
+	gt.need = slices.Grow(gt.need[:0], len(spans))[:len(spans)]
 
 	var memo gateKey
 	memoID := int32(-1)
@@ -286,6 +298,7 @@ func (gt *gate) plan(nodes []*Node, spans []forkSpan) {
 		sp := &spans[k]
 		first := len(gt.waits)
 		gt.at[v] = first
+		need := 0
 		touch := func(o *Node, pos int) {
 			if o == nil || !o.requires {
 				return
@@ -301,6 +314,9 @@ func (gt *gate) plan(nodes []*Node, spans []forkSpan) {
 			}
 			d := dest(key)
 			if gt.lastSpan[d] != k {
+				if gt.writers[d] == 0 && key.n != nil && o.Grad == nil {
+					need += o.Value.Size() // the first writer carves its gradient
+				}
 				gt.lastSpan[d] = k
 				gt.entry[d] = len(gt.waits)
 				gt.waits = append(gt.waits, gateEvent{pos: pos, dest: d, rank: gt.writers[d]})
@@ -311,6 +327,9 @@ func (gt *gate) plan(nodes []*Node, spans []forkSpan) {
 		}
 		for i := sp.end - 1; i >= sp.start; i-- {
 			n := nodes[i]
+			if n.requires && n.Grad == nil {
+				need += n.Value.Size()
+			}
 			if n.backFn == nil || !n.requires {
 				continue
 			}
@@ -324,6 +343,7 @@ func (gt *gate) plan(nodes []*Node, spans []forkSpan) {
 		for _, e := range gt.waits[first:] {
 			gt.writers[e.dest]++
 		}
+		gt.need[v] = need
 		slices.SortStableFunc(gt.sigs[first:], func(x, y gateEvent) int { return y.pos - x.pos })
 	}
 	gt.at[len(spans)] = len(gt.waits)
@@ -332,7 +352,7 @@ func (gt *gate) plan(nodes []*Node, spans []forkSpan) {
 	for v := range gt.cur {
 		sp := &spans[len(spans)-1-v]
 		lo, hi := gt.at[v], gt.at[v+1]
-		gt.cur[v] = cursor{span: sp, i: sp.end - 1, waits: gt.waits[lo:hi], sigs: gt.sigs[lo:hi]}
+		gt.cur[v] = cursor{span: sp, i: sp.end - 1, waits: gt.waits[lo:hi], sigs: gt.sigs[lo:hi], need: gt.need[v]}
 	}
 	gt.next, gt.live, gt.idle = 0, len(spans), 0
 	gt.parked, gt.ready = gt.parked[:0], gt.ready[:0]

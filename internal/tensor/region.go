@@ -1,6 +1,9 @@
 package tensor
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // This file implements Region, the private bump allocator behind one autodiff
 // tape. A single goroutine writes each tape, only the tape allocates its
@@ -128,6 +131,29 @@ func (r *Region) Alloc(shape ...int) *Tensor {
 	}
 	t.Data = data
 	return t
+}
+
+// Reserve readies the region to carve n more floats from one block without
+// borrowing a doubled chunk: it keeps the current block when n fits there,
+// moves on to the next retained block when that one holds n, and otherwise
+// borrows a chunk of n floats, rounded up to whole minChunk units so that the
+// pool can serve it to a similar request later, and carves on from it. A
+// caller that knows how much it is about to carve uses it to avoid the slack
+// of a chunk sized by doubling; a later pass that reserves the same amount at
+// the same point finds the block again.
+func (r *Region) Reserve(n int) {
+	s := &r.data
+	if n <= 0 || Default.off.Load() {
+		return
+	}
+	if s.bi < len(s.blocks) && s.used+n <= len(s.blocks[s.bi]) {
+		return
+	}
+	next := min(s.bi+1, len(s.blocks))
+	if next >= len(s.blocks) || len(s.blocks[next]) < n {
+		s.blocks = slices.Insert(s.blocks, next, Default.take((n+minChunk-1)/minChunk*minChunk))
+	}
+	s.bi, s.used = next, 0
 }
 
 // AllocLike is Alloc with t's shape.

@@ -151,3 +151,41 @@ func TestRegionReleaseReturnsChunks(t *testing.T) {
 		t.Fatalf("first carve after Release counted %d misses, want 1", d)
 	}
 }
+
+// TestRegionReserve: after Reserve(n), carves totalling n floats come from
+// one block without a further chunk, and an identical pass after Reset
+// reuses that block instead of borrowing again.
+func TestRegionReserve(t *testing.T) {
+	var r Region
+	defer r.Release()
+	pass := func() []*Tensor {
+		r.Alloc(700) // most of the first chunk
+		r.Reserve(3000)
+		return []*Tensor{r.Alloc(1000), r.Alloc(1500), r.Alloc(500)}
+	}
+	first := pass()
+	blocks := len(r.data.blocks)
+	if blocks != 2 {
+		t.Fatalf("region holds %d blocks after the first pass, want 2", blocks)
+	}
+	if len(r.data.blocks[1]) != 3*minChunk {
+		t.Fatalf("reserved block holds %d floats, want %d", len(r.data.blocks[1]), 3*minChunk)
+	}
+	for _, x := range first {
+		dirty(x, 7)
+	}
+	if first[0].Data[999] != 7 || first[1].Data[0] != 7 || &first[1].Data[0] != &r.data.blocks[1][1000] {
+		t.Fatal("reserved carves are not laid out in the reserved block")
+	}
+	r.Reset()
+	before := Default.Stats()
+	pass()
+	if len(r.data.blocks) != blocks || Default.Stats().Misses != before.Misses {
+		t.Fatal("identical pass after Reset borrowed a new chunk")
+	}
+	r.Reset()
+	r.Reserve(10) // fits the current block: nothing moves
+	if r.data.bi != 0 || len(r.data.blocks) != blocks {
+		t.Fatal("Reserve moved off a block that had room")
+	}
+}
