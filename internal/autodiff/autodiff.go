@@ -84,7 +84,7 @@ type Node struct {
 	ext    *tensor.Tensor // auxiliary tensor (dropout mask)
 	x0     float64        // scalar operand (Scale factor, MulScalarNode value)
 	i0, i1 int            // integer operands (slice bounds, row index, dims)
-	pos    int            // position on the tape; Join renumbers it
+	pos    int            // position on the tape; join renumbers it
 }
 
 // Graph is a tape of nodes in forward (topological) order.
@@ -106,7 +106,7 @@ type Node struct {
 type Graph struct {
 	nodes []*Node
 
-	// parent is non-nil for a child tape created by Fork, until Join.
+	// parent is non-nil for a child tape created by Fork, until the join.
 	parent *Graph
 	// busy is the single-writer tripwire flag toggled around each append.
 	busy atomic.Bool
@@ -144,7 +144,7 @@ func (n *Node) Graph() *Graph { return n.graph }
 
 func (g *Graph) add(n *Node) *Node {
 	if !g.busy.CompareAndSwap(false, true) {
-		panic("autodiff: concurrent append to a single-writer graph (use Fork/Join for parallel construction)")
+		panic("autodiff: concurrent append to a single-writer graph (use ForkJoin for parallel construction)")
 	}
 	n.graph, n.pos = g, len(g.nodes)
 	g.nodes = append(g.nodes, n)
@@ -202,20 +202,20 @@ func (g *Graph) Backward(out *Node) {
 	for k := len(g.groups) - 1; k >= 0; k-- {
 		grp := &g.groups[k]
 		lo, end := g.spans[grp.first].start, g.spans[grp.last-1].end
-		g.sweep(end, hi, g)
+		g.sweep(end, hi)
 		g.replay(grp)
 		hi = lo
 	}
-	g.sweep(0, hi, g)
+	g.sweep(0, hi)
 }
 
-// sweep runs the backward rules of tape positions [lo, hi) in reverse,
-// carving new gradient buffers from tape.
-func (g *Graph) sweep(lo, hi int, tape *Graph) {
+// sweep runs the backward rules of tape positions [lo, hi) in reverse on the
+// calling goroutine, carving new gradient buffers from g.
+func (g *Graph) sweep(lo, hi int) {
 	for i := hi - 1; i >= lo; i-- {
 		n := g.nodes[i]
 		if n.backFn != nil && n.requires && n.Grad != nil {
-			n.backFn(n, tape)
+			n.backFn(n, g)
 		}
 	}
 }

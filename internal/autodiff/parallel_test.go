@@ -123,7 +123,7 @@ func TestSiblingForkMixPanics(t *testing.T) {
 
 // TestForkJoinRegionStress records many fork children at once, each carving
 // tagged tensors of mixed sizes from its private region while the regions
-// grow concurrently from the shared chunk pool. After Join every tensor must
+// grow concurrently from the shared chunk pool. After the join every tensor must
 // still hold its child's tag (no two children ever share memory), and after
 // Reset the next pass must see zero-filled carves again. Run under -race at
 // every worker count, this is the locking proof of the chunk pool.

@@ -20,7 +20,7 @@ import (
 //
 // Region lifetime: each Fork child carves from its own region, since workers
 // record concurrently. Nodes recorded on a child keep pointing into that
-// region after Join, so the region stays live while the child is parked on
+// region after the join, so the region stays live while the child is parked on
 // g.children; the parent's Reset rewinds (and Release releases) its own
 // region and every parked child's.
 //

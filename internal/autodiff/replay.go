@@ -38,7 +38,8 @@ import (
 // index down. It sleeps only when neither exists. The worker whose signal
 // releases a parked span switches to it at once and leaves its own cursor
 // ready for any worker, so a chain of waits, such as one Parameter's
-// gradient passed down the spans, never stalls on a thread wake-up. The
+// gradient passed down the spans, does not stall on a sleeping thread. No
+// worker spins: one with nothing to run sleeps on a condition variable. The
 // highest unfinished span never waits, since every span above it is done, so
 // the replay cannot deadlock.
 //

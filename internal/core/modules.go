@@ -82,9 +82,10 @@ func (tg *TODGenerator) CloneTODGen() TODGenModule {
 }
 
 // moduleWorkers returns the worker count for parallel graph construction
-// inside a module forward pass. Dropout draws its masks from a single shared
-// rng in recording order, so training passes with active dropout are forced
-// serial — the draw order, and therefore every mask, must match Workers=1.
+// inside a module forward pass, and so for the backward replay of its forks.
+// Dropout draws its masks from a single shared rng in recording order, so
+// training passes with active dropout are forced serial — the draw order,
+// and therefore every mask, must match Workers=1.
 func moduleWorkers(cfg Config, train bool) int {
 	if train && cfg.DropoutRate > 0 {
 		return 1
