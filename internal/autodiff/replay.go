@@ -92,15 +92,19 @@ type cursor struct {
 	need        int
 }
 
+// dest is the state of one shared destination.
+type dest struct {
+	passed   int32 // writers that have passed their last write
+	writers  int32 // spans seen writing it so far (plan)
+	lastSpan int   // span that last touched it (plan)
+	entry    int   // that span's index into waits and sigs (plan)
+}
+
 // gate is the replay scratch of one graph, reused across groups and passes.
 type gate struct {
 	ids map[gateKey]int32
 
-	// Per destination.
-	passed   []int32 // writers that have passed their last write
-	writers  []int32 // spans seen writing it so far (plan)
-	lastSpan []int   // span that last touched it (plan)
-	entry    []int   // that span's index into waits/sigs (plan)
+	dests []dest
 
 	// Event storage: span n-1-v of an n-span group owns waits[at[v]:at[v+1]]
 	// and sigs[at[v]:at[v+1]], each in descending pos order.
@@ -109,7 +113,7 @@ type gate struct {
 	need        []int
 
 	// Scheduling, by visiting order v (span n-1-v). Guarded by mu, as are
-	// passed and every cursor not held by a worker.
+	// dests[].passed and every cursor not held by a worker.
 	mu     sync.Mutex
 	cond   sync.Cond
 	cur    []cursor
@@ -192,7 +196,7 @@ func (gt *gate) makeReady(v int) {
 // caller holds mu.
 func (gt *gate) unpark(d int32) int {
 	for k, v := range gt.parked {
-		if e := gt.cur[v].waits[0]; e.dest == d && e.rank <= gt.passed[d] {
+		if e := gt.cur[v].waits[0]; e.dest == d && e.rank <= gt.dests[d].passed {
 			gt.parked[k] = gt.parked[len(gt.parked)-1]
 			gt.parked = gt.parked[:len(gt.parked)-1]
 			return v
@@ -214,7 +218,7 @@ func (g *Graph) advance(v int) {
 		if len(c.waits) > 0 && c.waits[0].pos == i {
 			gt.mu.Lock()
 			for len(c.waits) > 0 && c.waits[0].pos == i {
-				if e := c.waits[0]; gt.passed[e.dest] < e.rank {
+				if e := c.waits[0]; gt.dests[e.dest].passed < e.rank {
 					c.i = i
 					gt.parked = append(gt.parked, v)
 					gt.mu.Unlock()
@@ -235,7 +239,7 @@ func (g *Graph) advance(v int) {
 		for len(c.sigs) > 0 && c.sigs[0].pos == i {
 			d := c.sigs[0].dest
 			c.sigs = c.sigs[1:]
-			gt.passed[d]++
+			gt.dests[d].passed++
 			if u := gt.unpark(d); u >= 0 {
 				if woke >= 0 {
 					gt.makeReady(woke)
@@ -270,26 +274,22 @@ func (gt *gate) plan(nodes []*Node, spans []forkSpan) {
 		gt.ids = make(map[gateKey]int32)
 		gt.cond.L = &gt.mu
 	}
-	gt.passed, gt.writers = gt.passed[:0], gt.writers[:0]
-	gt.lastSpan, gt.entry = gt.lastSpan[:0], gt.entry[:0]
+	gt.dests = gt.dests[:0]
 	gt.waits, gt.sigs = gt.waits[:0], gt.sigs[:0]
 	gt.at = slices.Grow(gt.at[:0], len(spans)+1)[:len(spans)+1]
 	gt.need = slices.Grow(gt.need[:0], len(spans))[:len(spans)]
 
 	var memo gateKey
 	memoID := int32(-1)
-	dest := func(key gateKey) int32 {
+	destOf := func(key gateKey) int32 {
 		if memoID >= 0 && key == memo {
 			return memoID
 		}
 		d, ok := gt.ids[key]
 		if !ok {
-			d = int32(len(gt.passed))
+			d = int32(len(gt.dests))
 			gt.ids[key] = d
-			gt.passed = append(gt.passed, 0)
-			gt.writers = append(gt.writers, 0)
-			gt.lastSpan = append(gt.lastSpan, -1)
-			gt.entry = append(gt.entry, 0)
+			gt.dests = append(gt.dests, dest{lastSpan: -1})
 		}
 		memo, memoID = key, d
 		return d
@@ -313,18 +313,18 @@ func (gt *gate) plan(nodes []*Node, spans []forkSpan) {
 			default:
 				return // the span's own node
 			}
-			d := dest(key)
-			if gt.lastSpan[d] != k {
-				if gt.writers[d] == 0 && key.n != nil && o.Grad == nil {
+			d := destOf(key)
+			ds := &gt.dests[d]
+			if ds.lastSpan != k {
+				if ds.writers == 0 && key.n != nil && o.Grad == nil {
 					need += o.Value.Size() // the first writer carves its gradient
 				}
-				gt.lastSpan[d] = k
-				gt.entry[d] = len(gt.waits)
-				gt.waits = append(gt.waits, gateEvent{pos: pos, dest: d, rank: gt.writers[d]})
+				ds.lastSpan, ds.entry = k, len(gt.waits)
+				gt.waits = append(gt.waits, gateEvent{pos: pos, dest: d, rank: ds.writers})
 				gt.sigs = append(gt.sigs, gateEvent{pos: pos, dest: d})
 				return
 			}
-			gt.sigs[gt.entry[d]].pos = pos
+			gt.sigs[ds.entry].pos = pos
 		}
 		for i := sp.end - 1; i >= sp.start; i-- {
 			n := nodes[i]
@@ -342,7 +342,7 @@ func (gt *gate) plan(nodes []*Node, spans []forkSpan) {
 			}
 		}
 		for _, e := range gt.waits[first:] {
-			gt.writers[e.dest]++
+			gt.dests[e.dest].writers++
 		}
 		gt.need[v] = need
 		slices.SortStableFunc(gt.sigs[first:], func(x, y gateEvent) int { return y.pos - x.pos })
