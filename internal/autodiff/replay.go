@@ -110,7 +110,6 @@ type gate struct {
 	// and sigs[at[v]:at[v+1]], each in descending pos order.
 	waits, sigs []gateEvent
 	at          []int
-	need        []int
 
 	// Scheduling, by visiting order v (span n-1-v). Guarded by mu, as are
 	// dests[].passed and every cursor not held by a worker.
@@ -277,7 +276,7 @@ func (gt *gate) plan(nodes []*Node, spans []forkSpan) {
 	gt.dests = gt.dests[:0]
 	gt.waits, gt.sigs = gt.waits[:0], gt.sigs[:0]
 	gt.at = slices.Grow(gt.at[:0], len(spans)+1)[:len(spans)+1]
-	gt.need = slices.Grow(gt.need[:0], len(spans))[:len(spans)]
+	gt.cur = slices.Grow(gt.cur[:0], len(spans))[:len(spans)]
 
 	var memo gateKey
 	memoID := int32(-1)
@@ -344,16 +343,14 @@ func (gt *gate) plan(nodes []*Node, spans []forkSpan) {
 		for _, e := range gt.waits[first:] {
 			gt.dests[e.dest].writers++
 		}
-		gt.need[v] = need
+		gt.cur[v] = cursor{span: sp, i: sp.end - 1, need: need}
 		slices.SortStableFunc(gt.sigs[first:], func(x, y gateEvent) int { return y.pos - x.pos })
 	}
 	gt.at[len(spans)] = len(gt.waits)
 
-	gt.cur = slices.Grow(gt.cur[:0], len(spans))[:len(spans)]
 	for v := range gt.cur {
-		sp := &spans[len(spans)-1-v]
 		lo, hi := gt.at[v], gt.at[v+1]
-		gt.cur[v] = cursor{span: sp, i: sp.end - 1, waits: gt.waits[lo:hi], sigs: gt.sigs[lo:hi], need: gt.need[v]}
+		gt.cur[v].waits, gt.cur[v].sigs = gt.waits[lo:hi], gt.sigs[lo:hi]
 	}
 	gt.next, gt.live, gt.idle = 0, len(spans), 0
 	gt.parked, gt.ready = gt.parked[:0], gt.ready[:0]
